@@ -10,13 +10,18 @@ One BPM in this model feeds one node board — the granularity at which
 Figure 1 and Figure 2 are compared ("the power consumption of the node
 card matches that of the data collected at the BPM in terms of total
 power consumption").
+
+The environmental database meters every BPM at once through
+:class:`BpmColumns`, one array pass per sweep;
+:meth:`BulkPowerModule.metered` is the per-module scalar form the
+property tests hold it to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bgq.topology import NodeBoard
+from repro.bgq.topology import NodeBoard, total_power_column
 from repro.errors import ConfigError
 from repro.sim.hashrand import hash_normal
 
@@ -64,6 +69,60 @@ class BulkPowerModule:
         noise_out = float(hash_normal(self.seed ^ 0xBEEF, idx)) * self.meter_noise_w
         input_w = float(self.input_power_w(t)) + noise_in
         output_w = float(self.output_power_w(t)) + noise_out
+        return {
+            "input_power_w": input_w,
+            "input_current_a": input_w / AC_INPUT_VOLTAGE,
+            "output_power_w": output_w,
+            "output_current_a": output_w / DC_OUTPUT_VOLTAGE,
+        }
+
+
+class BpmColumns:
+    """Many BPMs as columns, metered in one array pass.
+
+    Seeds, efficiencies and meter-noise amplitudes become ``numpy``
+    columns the first time the bank is metered after a BPM joins.
+    :meth:`metered` returns :meth:`BulkPowerModule.metered`'s four
+    fields as float64 columns whose element ``i`` is bit-identical to
+    ``bpms[i].metered(t)``.
+    """
+
+    def __init__(self):
+        self.bpms: list[BulkPowerModule] = []
+        self._columns: tuple | None = None
+
+    def __len__(self) -> int:
+        return len(self.bpms)
+
+    def add(self, bpm: BulkPowerModule) -> None:
+        self.bpms.append(bpm)
+        self._columns = None
+
+    def _built(self) -> tuple:
+        if self._columns is None:
+            bpms = self.bpms
+            self._columns = (
+                [bpm.node_board for bpm in bpms],
+                np.array([bpm.seed for bpm in bpms], dtype=np.uint64),
+                np.array([bpm.efficiency for bpm in bpms]),
+                np.array([bpm.meter_noise_w for bpm in bpms]),
+            )
+        return self._columns
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """Per-BPM seeds as a ``uint64`` column."""
+        return self._built()[1]
+
+    def metered(self, t: float) -> dict[str, np.ndarray]:
+        """One metering scan of every BPM, as columns."""
+        boards, seeds, efficiency, noise_w = self._built()
+        idx = int(round(t * 1000.0))
+        noise_in = hash_normal(seeds, idx) * noise_w
+        noise_out = hash_normal(seeds ^ 0xBEEF, idx) * noise_w
+        output = total_power_column(boards, t)
+        input_w = (output / efficiency + 12.0) + noise_in
+        output_w = output + noise_out
         return {
             "input_power_w": input_w,
             "input_current_a": input_w / AC_INPUT_VOLTAGE,

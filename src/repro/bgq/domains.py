@@ -15,6 +15,8 @@ through a ~90 %-efficient bulk power module, reproduces Figure 1's
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 
 from repro.workloads.base import Component
@@ -76,5 +78,9 @@ def domain_spec(domain: BgqDomain) -> DomainSpec:
 
 
 #: Node-card totals implied by the table (used by tests and DESIGN.md).
-NODE_CARD_IDLE_W = sum(spec.idle_w for spec in BGQ_DOMAINS)
+#: The idle total folds the rails left to right in table order, as
+#: ``NodeBoard.total_power`` does, so it is bit-identical to an unloaded
+#: board's total and the envdb sweep can use it in place of one.
+NODE_CARD_IDLE_W = functools.reduce(operator.add,
+                                    (spec.idle_w for spec in BGQ_DOMAINS))
 NODE_CARD_PEAK_W = NODE_CARD_IDLE_W + sum(spec.dynamic_w for spec in BGQ_DOMAINS)

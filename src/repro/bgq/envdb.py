@@ -15,8 +15,10 @@ by rack prefix, each shard carries the paper's single-server ingest
 ceiling, and sweeps are written as one batch.  The default
 ``shards=1`` *is* the paper's DB2 server — same capacity arithmetic,
 same query results — while ``shards=16`` sustains a full-Mira sweep at
-the 60 s minimum interval.  Queries return :class:`EnvRecord` rows (the
-legacy shape) adapted from the store's normalized
+the 60 s minimum interval.  A sweep meters every registered BPM in one
+columnar pass (:class:`~repro.bgq.bpm.BpmColumns`) and stages the
+whole sweep's records at once.  Queries return :class:`EnvRecord` rows
+(the legacy shape) adapted from the store's normalized
 :class:`~repro.store.Reading` records.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgq.bpm import BulkPowerModule
+from repro.bgq.bpm import BpmColumns, BulkPowerModule
 from repro.errors import ConfigError
 from repro.obs.instruments import ENVDB_POLLS, ENVDB_QUERY_ROWS, ENVDB_RECORDS, collector
 from repro.sim.events import EventQueue
@@ -100,30 +102,29 @@ class EnvironmentalDatabase:
             capacity_records_per_s=SERVER_CAPACITY_RECORDS_PER_S,
         )
         self._batcher = WriteBatcher(self.store)
-        self._bpms: list[BulkPowerModule] = []
+        self._meters = BpmColumns()
+        self._sweep_locations: list[str] = []
         self._polls = 0
         self._started = False
 
     # -- sensor registration --------------------------------------------------
 
     def register_bpm(self, bpm: BulkPowerModule) -> None:
-        self._bpms.append(bpm)
+        self._meters.add(bpm)
+        self._sweep_locations.extend((bpm.location, bpm.node_board.location,
+                                      bpm.node_board.location, bpm.location))
 
     @property
     def sensors_per_poll(self) -> int:
         """Records written per polling sweep: BPM rows plus the ambient
         coolant/temperature/fan rows each rack contributes."""
-        return len(self._bpms) * 4  # bpm, coolant, temperature, fan rows
+        return len(self._meters) * 4  # bpm, coolant, temperature, fan rows
 
     def sweep_locations(self) -> list[str]:
         """One location per record a sweep writes, in sweep order — the
         capacity model's input, and what fleet rebalancing sizes shard
         maps against."""
-        out: list[str] = []
-        for bpm in self._bpms:
-            out.extend((bpm.location, bpm.node_board.location,
-                        bpm.node_board.location, bpm.location))
-        return out
+        return list(self._sweep_locations)
 
     # -- capacity model --------------------------------------------------------
 
@@ -169,31 +170,42 @@ class EnvironmentalDatabase:
             child = _RECORD_COUNTERS.get(table)
             if child is None:
                 child = _RECORD_COUNTERS[table] = ENVDB_RECORDS.labels(table)
-            child.inc(len(self._bpms))
-        for bpm in self._bpms:
-            metered = bpm.metered(t)
-            self._batcher.add("bpm", Reading(t, bpm.location, "envdb", metered))
-            # Ambient rows derived from the board's electrical state.
-            out_w = metered["output_power_w"]
-            idx = int(round(t))
-            jitter = float(hash_normal(bpm.seed ^ 0xC0FFEE, idx))
-            self._batcher.add("coolant", Reading(
-                t, bpm.node_board.location, "envdb",
-                {"flow_lpm": 18.0 + 0.2 * jitter,
-                 "pressure_kpa": 310.0 + 1.5 * jitter,
-                 "inlet_c": 16.5 + 0.1 * jitter,
-                 "outlet_c": 16.5 + out_w / 900.0},
-            ))
-            self._batcher.add("temperature", Reading(
-                t, bpm.node_board.location, "envdb",
-                {"board_c": 24.0 + out_w / 250.0},
-            ))
-            self._batcher.add("fan", Reading(
-                t, bpm.location, "envdb", {"speed_rpm": 3600.0 + out_w / 4.0},
-            ))
-        if len(self._batcher):
+            child.inc(len(self._meters))
+        if len(self._meters):
+            self._batcher.extend(self._sweep_records(t))
             self._batcher.flush(self.poll_interval_s)
         self.queue.schedule_in(self.poll_interval_s, self._sweep)
+
+    def _sweep_records(self, t: float) -> list[tuple[str, Reading]]:
+        """One sweep's rows, BPM by BPM: its metered row, then the
+        ambient coolant/temperature/fan rows derived from the board's
+        electrical state.  Every value is computed column-wise."""
+        metered = self._meters.metered(t)
+        out_w = metered["output_power_w"]
+        jitter = hash_normal(self._meters.seeds ^ 0xC0FFEE, int(round(t)))
+        bpm_rows = zip(*(column.tolist() for column in metered.values()))
+        coolant_rows = zip((18.0 + 0.2 * jitter).tolist(),
+                           (310.0 + 1.5 * jitter).tolist(),
+                           (16.5 + 0.1 * jitter).tolist(),
+                           (16.5 + out_w / 900.0).tolist())
+        board_c = (24.0 + out_w / 250.0).tolist()
+        fan_rpm = (3600.0 + out_w / 4.0).tolist()
+        records: list[tuple[str, Reading]] = []
+        add = records.append
+        for bpm, (in_w, in_a, out, out_a), (flow, pressure, inlet, outlet), \
+                board, rpm in zip(self._meters.bpms, bpm_rows, coolant_rows,
+                                  board_c, fan_rpm):
+            bpm_loc, board_loc = bpm.location, bpm.node_board.location
+            add(("bpm", Reading(t, bpm_loc, "envdb", {
+                "input_power_w": in_w, "input_current_a": in_a,
+                "output_power_w": out, "output_current_a": out_a})))
+            add(("coolant", Reading(t, board_loc, "envdb", {
+                "flow_lpm": flow, "pressure_kpa": pressure,
+                "inlet_c": inlet, "outlet_c": outlet})))
+            add(("temperature", Reading(t, board_loc, "envdb",
+                                        {"board_c": board})))
+            add(("fan", Reading(t, bpm_loc, "envdb", {"speed_rpm": rpm})))
+        return records
 
     @property
     def polls_completed(self) -> int:

@@ -1,7 +1,8 @@
 """Assembled BG/Q machines.
 
 :class:`BgqMachine` wires the pieces together: racks, one BPM per node
-board, the environmental database, and EMON interfaces per node board —
+board, the environmental database, and an EMON interface per node
+board, built on first use because the envdb sweep never touches it —
 everything the Figure 1/2 and Table III experiments need.  ``mira()``
 builds the 48-rack configuration (49,152 nodes) the paper profiles;
 small configurations are the default for tests.
@@ -43,7 +44,6 @@ class BgqMachine:
             )
             self._bpms[board.location] = bpm
             self.envdb.register_bpm(bpm)
-            self._emons[board.location] = EmonInterface(board, self.clock)
         if start_poller:
             self.envdb.start()
 
@@ -69,10 +69,16 @@ class BgqMachine:
             raise ConfigError(f"no BPM at {location!r}") from None
 
     def emon(self, location: str) -> EmonInterface:
-        try:
-            return self._emons[location]
-        except KeyError:
-            raise ConfigError(f"no node board at {location!r}") from None
+        """The EMON interface of one node board, built on first use
+        (its sensors' seeds are pure functions of names)."""
+        emon = self._emons.get(location)
+        if emon is None:
+            try:
+                board = self._bpms[location].node_board
+            except KeyError:
+                raise ConfigError(f"no node board at {location!r}") from None
+            emon = self._emons[location] = EmonInterface(board, self.clock)
+        return emon
 
     # -- job placement -----------------------------------------------------------
 

@@ -15,8 +15,16 @@ Location strings follow the IBM convention: ``R07-M1-N03-J12`` is rack
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.bgq.domains import BGQ_DOMAINS, BgqDomain, domain_spec
+import numpy as np
+
+from repro.bgq.domains import (
+    BGQ_DOMAINS,
+    NODE_CARD_IDLE_W,
+    BgqDomain,
+    domain_spec,
+)
 from repro.devices.load import LoadBoard
 from repro.devices.power import ComponentPowerModel
 from repro.errors import ConfigError
@@ -63,10 +71,6 @@ class NodeBoard:
     def __init__(self, location: str, rng: RngRegistry):
         self.location = location
         self.rng = rng
-        self.cards = [
-            ComputeCard(f"{location}-J{j:02d}")
-            for j in range(COMPUTE_CARDS_PER_NODE_BOARD)
-        ]
         self.board = LoadBoard()
         self._models = {
             spec.domain: ComponentPowerModel(
@@ -76,9 +80,16 @@ class NodeBoard:
             for spec in BGQ_DOMAINS
         }
 
+    @cached_property
+    def cards(self) -> list[ComputeCard]:
+        """The 32 compute cards, built on first use (locations are pure
+        functions of the board's, so laziness changes nothing)."""
+        return [ComputeCard(f"{self.location}-J{j:02d}")
+                for j in range(COMPUTE_CARDS_PER_NODE_BOARD)]
+
     @property
     def node_count(self) -> int:
-        return len(self.cards)
+        return COMPUTE_CARDS_PER_NODE_BOARD
 
     def domain_power(self, domain: BgqDomain, t):
         """True DC power of one domain rail (W)."""
@@ -100,6 +111,20 @@ class NodeBoard:
         for spec in BGQ_DOMAINS[1:]:
             total = total + self.domain_power(spec.domain, t)
         return total
+
+
+def total_power_column(boards: list[NodeBoard], t: float) -> np.ndarray:
+    """``total_power(t)`` of every board, as one float64 column.
+
+    Boards with nothing scheduled and no parasitic load read
+    :data:`~repro.bgq.domains.NODE_CARD_IDLE_W`; only loaded boards
+    evaluate their seven domain models.
+    """
+    out = np.full(len(boards), NODE_CARD_IDLE_W)
+    for i, board in enumerate(boards):
+        if not board.board.idle:
+            out[i] = board.total_power(t)
+    return out
 
 
 @dataclass

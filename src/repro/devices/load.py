@@ -30,6 +30,12 @@ class LoadBoard:
     def scheduled(self) -> list[ScheduledWorkload]:
         return list(self._scheduled)
 
+    @property
+    def idle(self) -> bool:
+        """True while nothing is scheduled and no parasitic load stands:
+        every component's utilization is exactly 0 at all times."""
+        return not self._scheduled and not self._parasitic
+
     def schedule(self, workload: Workload, t_start: float = 0.0) -> ScheduledWorkload:
         """Place a workload on the device starting at ``t_start``."""
         placed = workload.shifted(t_start)

@@ -10,6 +10,7 @@ optional ``(payload, status)`` pair, plain text, or a line iterator
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import repro.obs as obs
@@ -52,13 +53,17 @@ class Request:
         return values[-1]
 
     def float_param(self, name: str, default=_MISSING) -> float:
+        """A finite number: ``nan`` and ``inf`` parse as floats but are
+        no time or window, so they are rejected like any other junk."""
         raw = self.param(name, default)
         try:
-            return float(raw)
+            value = float(raw)
         except (TypeError, ValueError):
+            value = math.nan
+        if not math.isfinite(value):
             raise BadRequest(
-                f"parameter {name!r} must be a number, got {raw!r}"
-            ) from None
+                f"parameter {name!r} must be a finite number, got {raw!r}")
+        return value
 
     def int_param(self, name: str, default=_MISSING) -> int:
         raw = self.param(name, default)

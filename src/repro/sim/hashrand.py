@@ -34,23 +34,29 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def hash_u64(seed: int, index: np.ndarray | int) -> np.ndarray:
-    """Deterministic 64-bit hash of (seed, index); vectorized over index."""
+def hash_u64(seed: int | np.ndarray, index: np.ndarray | int) -> np.ndarray:
+    """Deterministic 64-bit hash of (seed, index); vectorized over index
+    and, when ``seed`` is a ``uint64`` array, over seeds too — element
+    ``i`` equals the hash of ``(int(seed[i]), index)``."""
     idx = np.asarray(index, dtype=np.uint64)
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    s = seed if isinstance(seed, np.ndarray) else np.uint64(
+        seed & 0xFFFFFFFFFFFFFFFF)
     # Two rounds: fold the seed in, then finalize the combination.
     return _splitmix64(_splitmix64(idx) ^ s)
 
 
-def hash_uniform(seed: int, index: np.ndarray | int) -> np.ndarray:
-    """Uniform floats in [0, 1) from (seed, index).  Shape follows index."""
+def hash_uniform(seed: int | np.ndarray,
+                 index: np.ndarray | int) -> np.ndarray:
+    """Uniform floats in [0, 1) from (seed, index).  Shape follows the
+    broadcast of seed and index."""
     bits = hash_u64(seed, index)
     # Use the top 53 bits for a full-precision double in [0, 1).
     with np.errstate(over="ignore"):
         return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 
-def hash_normal(seed: int, index: np.ndarray | int) -> np.ndarray:
+def hash_normal(seed: int | np.ndarray,
+                index: np.ndarray | int) -> np.ndarray:
     """Standard-normal deviates from (seed, index) via Box-Muller.
 
     Each index yields one deviate; the pair partner comes from a

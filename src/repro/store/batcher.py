@@ -30,6 +30,10 @@ class WriteBatcher:
         """Stage one record for the next flush."""
         self._staged.append((table, reading))
 
+    def extend(self, items: list[tuple[str, Reading]]) -> None:
+        """Stage many (table, reading) pairs, in order."""
+        self._staged.extend(items)
+
     def flush(self, interval_s: float) -> FlushReport:
         """Ingest everything staged as one capacity-accounted batch.
 

@@ -111,6 +111,28 @@ class _ShardTable:
             self.log_seqs.append(seq)
             self.log_records.append(reading)
 
+    def extend(self, readings: list[Reading], seqs: list[int]) -> None:
+        """Insert a run with ascending sequence numbers (one batch's
+        records for this table).  A run that sorts after everything
+        held — a sweep's, always — is appended wholesale; any other
+        goes record by record."""
+        keys = [(r.timestamp, seq) for r, seq in zip(readings, seqs)]
+        if ((self.keys and keys[0] < self.keys[-1])
+                or (self.log_seqs and seqs[0] < self.log_seqs[-1])
+                or keys != sorted(keys)):
+            for reading, seq in zip(readings, seqs):
+                self.insert(reading, seq)
+            return
+        self.keys.extend(keys)
+        self.records.extend(readings)
+        self.log_seqs.extend(seqs)
+        self.log_records.extend(readings)
+        latest = self.latest
+        for reading in readings:
+            newest = latest.get(reading.location)
+            if newest is None or reading.timestamp >= newest.timestamp:
+                latest[reading.location] = reading
+
     def slice(self, t0: float, t1: float) -> tuple[list[tuple[float, int]],
                                                    list[Reading]]:
         lo = bisect_left(self.keys, (t0,))
@@ -186,13 +208,21 @@ class ShardedStore:
         self._dropped_children = {
             i: STORE_DROPPED.labels(str(i)) for i in range(n_shards)
         }
+        # location -> shard index under the current shard map.  Fed by
+        # ingest only, so it is bounded by the stored keyspace (query
+        # prefixes never reach it); reset when the map changes.
+        self._placement: dict[str, int] = {}
 
     # -- ingest ----------------------------------------------------------------
 
     def ingest(self, table: str, reading: Reading) -> None:
         """Insert one record, bypassing capacity enforcement."""
-        shard = self._shards[self.shard_map.shard_of(reading.location)]
-        self._insert(shard, self._check_table(table), reading)
+        self._check_table(table)
+        index = self._shard_index(reading.location)
+        with self._seq_lock:
+            seq = self._seq
+            self._seq += 1
+        self._insert_run(index, {table: ([reading], [0])}, seq)
 
     def ingest_batch(self, items: list[tuple[str, Reading]],
                      interval_s: float) -> FlushReport:
@@ -201,7 +231,10 @@ class ShardedStore:
         Each shard absorbs at most ``capacity_records_per_s *
         interval_s`` records per sweep; the overflow — the tail of that
         shard's batch, in offered order — is dropped and accounted to
-        the shard that saturated.
+        the shard that saturated.  Accepted records take consecutive
+        sequence numbers in offered order (so merged query results stay
+        byte-identical to an unsharded flat list); each shard then
+        inserts its run under one lock acquisition.
         """
         if interval_s <= 0.0:
             raise ConfigError(f"sweep interval must be positive, got {interval_s}")
@@ -209,21 +242,32 @@ class ShardedStore:
         if self.capacity_records_per_s is not None:
             budget = int(math.floor(self.capacity_records_per_s * interval_s))
 
-        # Insert in offered order (so merged query results stay
-        # byte-identical to an unsharded flat list); each shard accepts
-        # at most its per-sweep budget and drops its overflow tail.
         offered_by_shard: dict[int, int] = {}
         dropped_by_shard: dict[int, int] = {}
+        # shard -> table -> (readings, offsets into the batch's seqs)
+        runs: dict[int, dict[str, tuple[list[Reading], list[int]]]] = {}
         accepted = 0
         for table, reading in items:
             self._check_table(table)
-            index = self.shard_map.shard_of(reading.location)
-            offered_by_shard[index] = offered_by_shard.get(index, 0) + 1
-            if budget is not None and offered_by_shard[index] > budget:
+            index = self._shard_index(reading.location)
+            offered = offered_by_shard[index] = offered_by_shard.get(index, 0) + 1
+            if budget is not None and offered > budget:
                 dropped_by_shard[index] = dropped_by_shard.get(index, 0) + 1
                 continue
-            self._insert(self._shards[index], table, reading)
+            by_table = runs.get(index)
+            if by_table is None:
+                by_table = runs[index] = {}
+            run = by_table.get(table)
+            if run is None:
+                run = by_table[table] = ([], [])
+            run[0].append(reading)
+            run[1].append(accepted)
             accepted += 1
+        with self._seq_lock:
+            base = self._seq
+            self._seq += accepted
+        for index, run in runs.items():
+            self._insert_run(index, run, base)
         for index, dropped in dropped_by_shard.items():
             shard = self._shards[index]
             with shard.lock:
@@ -240,15 +284,29 @@ class ShardedStore:
             dropped_by_shard=dropped_by_shard,
         )
 
-    def _insert(self, shard: _Shard, table: str, reading: Reading) -> None:
-        with self._seq_lock:
-            seq = self._seq
-            self._seq += 1
+    def _shard_index(self, location: str) -> int:
+        index = self._placement.get(location)
+        if index is None:
+            index = self._placement[location] = self.shard_map.shard_of(
+                location)
+        return index
+
+    def _insert_run(self, index: int,
+                    by_table: dict[str, tuple[list[Reading], list[int]]],
+                    base: int) -> None:
+        """Insert one shard's run, each record at sequence number
+        ``base + offset``, under one lock acquisition with one cache
+        invalidation per table touched."""
+        shard = self._shards[index]
+        count = 0
         with shard.lock:
-            shard.tables[table].insert(reading, seq)
-            shard.records_ingested += 1
-            shard.cache.invalidate(table)
-        self._record_children[shard.index].inc()
+            for table, (readings, offsets) in by_table.items():
+                shard.tables[table].extend(
+                    readings, [base + offset for offset in offsets])
+                shard.cache.invalidate(table)
+                count += len(readings)
+            shard.records_ingested += count
+        self._record_children[index].inc(count)
 
     # -- queries ---------------------------------------------------------------
 
@@ -424,6 +482,7 @@ class ShardedStore:
         self._dropped_children = {
             i: STORE_DROPPED.labels(str(i)) for i in range(n_shards)
         }
+        self._placement = {}
         # Drops happened against the *old* layout; keep the total honest
         # without pinning them to a shard that no longer exists.
         self._dropped_carryover += dropped
@@ -433,7 +492,7 @@ class ShardedStore:
         # Replay without touching STORE_RECORDS: these records were
         # already counted when they first ingested.
         for seq, name, reading in replay:
-            shard = self._shards[self.shard_map.shard_of(reading.location)]
+            shard = self._shards[self._shard_index(reading.location)]
             with shard.lock:
                 shard.tables[name].insert(reading, seq)
                 shard.records_ingested += 1
@@ -449,8 +508,13 @@ class ShardedStore:
         if self.capacity_records_per_s is None:
             return {shard.index: 0.0 for shard in self._shards}
         counts: dict[int, int] = {}
+        placement = self._placement
         for location in locations:
-            index = self.shard_map.shard_of(location)
+            # Read the ingest memo, never feed it: callers may pass
+            # locations that will never be stored.
+            index = placement.get(location)
+            if index is None:
+                index = self.shard_map.shard_of(location)
             counts[index] = counts.get(index, 0) + 1
         budget = self.capacity_records_per_s * interval_s
         return {index: count / budget for index, count in counts.items()}

@@ -159,8 +159,13 @@ class FederatedStore:
         """
         partials: list[Aggregate] = []
         for name, local in self._route(location_prefix):
-            for agg in self.sites[name].aggregate(
-                    table, field_name, t0, t1, window_s, local):
+            site_partials = self.sites[name].aggregate(
+                table, field_name, t0, t1, window_s, local)
+            if rollup:
+                # The merge relabels every partial to the fleet anyway.
+                partials.extend(site_partials)
+                continue
+            for agg in site_partials:
                 partials.append(Aggregate(
                     location=self._label(name, agg.location),
                     field=agg.field, window_start=agg.window_start,

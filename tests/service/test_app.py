@@ -133,6 +133,23 @@ class TestErrors:
             "table": "bpm", "t0": "soon", "t1": 1.0})
         assert response.status == 400
 
+    def test_nan_window_400_names_the_parameter(self, client, rig):
+        response = client.get("/v2/query/aggregate", {
+            "table": "bpm", "field": "input_power_w", "t0": 0.0,
+            "t1": rig[0].clock.now, "window": "nan"})
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["origin"] == "repro.service"
+        assert "'window'" in error["detail"]
+
+    @pytest.mark.parametrize("name,value", [("t0", "inf"), ("t1", "-inf"),
+                                            ("t0", "nan")])
+    def test_non_finite_range_bound_400(self, client, name, value):
+        params = {"table": "bpm", "t0": 0.0, "t1": 1.0, name: value}
+        response = client.get("/v2/query/range", params)
+        assert response.status == 400
+        assert f"'{name}'" in response.json()["error"]["detail"]
+
     def test_prefix_requires_a_prefix(self, client):
         assert client.get("/v2/query/prefix",
                           {"table": "bpm"}).status == 400

@@ -1,6 +1,7 @@
 """Unit and property tests for counter-based randomness."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,3 +65,54 @@ def test_choice_mask_validates_probability():
 
     with pytest.raises(ValueError):
         hash_choice_mask(1, 0, 1.5)
+
+
+ARRAY_SEEDS = st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                       min_size=1, max_size=16)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@given(ARRAY_SEEDS, INDICES)
+@settings(max_examples=50)
+def test_seed_array_matches_scalar_seeds(seeds, index):
+    """Element i of a seed-array draw is the int-seed draw, bit for bit."""
+    column = np.array(seeds, dtype=np.uint64)
+    for fn in (hash_u64, hash_uniform, hash_normal):
+        drawn = fn(column, index)
+        assert drawn.shape == column.shape
+        for i, seed in enumerate(seeds):
+            assert _bits(drawn[i]) == _bits(fn(int(column[i]), index))
+            assert int(column[i]) == seed
+
+
+@given(ARRAY_SEEDS)
+@settings(max_examples=25)
+def test_seed_array_broadcasts_against_index_arrays(seeds):
+    column = np.array(seeds, dtype=np.uint64)
+    idx = np.arange(5)
+    grid = hash_normal(column[:, None], idx[None, :])
+    assert grid.shape == (len(seeds), 5)
+    for i, seed in enumerate(seeds):
+        assert _bits(grid[i]) == _bits(hash_normal(seed, idx))
+    # An index array of the seeds' own shape pairs elementwise.
+    paired = hash_normal(column, np.arange(len(seeds)))
+    assert _bits(paired) == [
+        _bits(hash_normal(seed, i))[0] for i, seed in enumerate(seeds)]
+
+
+def test_seed_array_with_zero_d_index_and_high_seeds():
+    seeds = [2**63, 2**64 - 1, 2**63 + 12345, 0]
+    column = np.array(seeds, dtype=np.uint64)
+    zero_d = np.asarray(7, dtype=np.uint64)
+    drawn = hash_normal(column, zero_d)
+    assert _bits(drawn) == [_bits(hash_normal(s, 7))[0] for s in seeds]
+    assert _bits(hash_normal(column ^ 0xC0FFEE, 3)) == [
+        _bits(hash_normal(s ^ 0xC0FFEE, 3))[0] for s in seeds]
+
+
+def test_seed_array_must_be_uint64():
+    with pytest.raises(TypeError):
+        hash_normal(np.array([1, 2], dtype=np.int64), 0)
