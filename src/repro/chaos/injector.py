@@ -118,17 +118,43 @@ class ChannelInjector:
         chunking.
         """
         n = times.shape[0]
-        q = self.queries_per_tick
-        start = self._exchange_counter
-        self._exchange_counter += n * q
+        fault_rule = self.draw_faults(times)
         dark = np.zeros(n, dtype=bool)
         stale = np.zeros(n, dtype=bool)
         if not self.rules:
             return dark, stale
+        # A clean tick over a closed breaker only resets the failure
+        # streak (idempotently), so a closed breaker jumps straight to
+        # the next faulted tick; open and half-open breakers walk every
+        # tick, since each one counts down the cooldown or probes.
+        faulted = np.flatnonzero(fault_rule >= 0).tolist()
+        faulted.append(n)
+        breaker = self.breaker
+        i = k = 0
+        while i < n:
+            if breaker.state == CLOSED:
+                while faulted[k] < i:
+                    k += 1
+                if faulted[k] > i:
+                    breaker.record_success()
+                    i = faulted[k]
+                    if i == n:
+                        break
+            verdict = self._cross_one(float(times[i]), int(fault_rule[i]))
+            dark[i] = verdict == _DARK
+            stale[i] = verdict == _STALE
+            i += 1
+        return dark, stale
 
-        # Which tick faults, and with which rule?  Per-exchange
-        # Bernoulli draws, reduced to "any exchange of the tick
-        # faulted", windowed by the rule's [t_start, t_end).
+    def draw_faults(self, times: np.ndarray) -> np.ndarray:
+        """Which rule faults each tick of ``times`` (-1: none), advancing
+        the exchange counter by ``queries_per_tick`` per tick."""
+        n = times.shape[0]
+        q = self.queries_per_tick
+        start = self._exchange_counter
+        self._exchange_counter += n * q
+        # Per-exchange Bernoulli draws, reduced to "any exchange of the
+        # tick faulted", windowed by the rule's [t_start, t_end).
         fault_rule = np.full(n, -1, dtype=np.int64)
         indices = start + np.arange(n * q, dtype=np.uint64)
         for r, (rule, seed) in enumerate(zip(self.rules, self._rule_seeds)):
@@ -141,17 +167,7 @@ class ChannelInjector:
             tick_hit = hit.reshape(n, q).any(axis=1) & in_window
             # First matching rule in declaration order wins.
             fault_rule[(fault_rule < 0) & tick_hit] = r
-
-        if (fault_rule < 0).all() and self.breaker.state == CLOSED:
-            # A clean block over a closed breaker is n successes: reset
-            # the failure streak once (idempotent) and skip the loop.
-            self.breaker.record_success()
-            return dark, stale
-        for i in range(n):
-            verdict = self._cross_one(float(times[i]), int(fault_rule[i]))
-            dark[i] = verdict == _DARK
-            stale[i] = verdict == _STALE
-        return dark, stale
+        return fault_rule
 
     def _cross_one(self, t: float, rule_index: int) -> int:
         """Resolve one tick's crossing; returns its verdict."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.signals import Signal
+from repro.sim.signals import Signal, change_points, merge_change_points
 from repro.workloads.base import ScheduledWorkload, Workload
 
 
@@ -60,6 +60,15 @@ class LoadBoard:
                 total = total + np.clip(signal.value(times), 0.0, 1.0)
         return np.clip(total, 0.0, 1.0)
 
+    def change_points(self, component: str) -> np.ndarray | None:
+        """Times where :meth:`utilization` of ``component`` may change
+        (None when any contribution's are unknown)."""
+        return merge_change_points([
+            *(placed.change_points(component) for placed in self._scheduled),
+            *(change_points(signal) for comp, signal in self._parasitic
+              if comp == component),
+        ])
+
     def signal(self, component: str) -> "UtilizationSignal":
         """A live :class:`Signal` view of one component's utilization."""
         return UtilizationSignal(self, component)
@@ -86,3 +95,6 @@ class UtilizationSignal:
 
     def value(self, t: np.ndarray | float) -> np.ndarray:
         return self.board.utilization(self.component, t)
+
+    def change_points(self) -> np.ndarray | None:
+        return self.board.change_points(self.component)

@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.devices.load import LoadBoard
-from repro.sim.integrate import CumulativeIntegral
-from repro.sim.signals import Signal
+from repro.sim.integrate import CumulativeIntegral, run_length_value, shared_grid
+from repro.sim.signals import Signal, change_points, merge_change_points
 
 
 class ComponentPowerModel:
@@ -64,6 +64,12 @@ class ComponentPowerModel:
         watts = self.dynamic_w.get(component, 0.0)
         return idle_share * self.idle_w + watts * self.board.utilization(component, times)
 
+    def change_points(self, component: str | None = None) -> np.ndarray | None:
+        """Times where total power (or one component's) may change."""
+        components = self.dynamic_w if component is None else (component,)
+        return merge_change_points(
+            self.board.change_points(c) for c in components)
+
     def signal(self) -> "PowerSignal":
         """Live signal view of total power."""
         return PowerSignal(self, None)
@@ -86,6 +92,9 @@ class PowerSignal:
         if self.component is None:
             return self.model.power(t)
         return self.model.component_power(self.component, t, self.idle_share)
+
+    def change_points(self) -> np.ndarray | None:
+        return self.model.change_points(self.component)
 
 
 class LimitedSignal:
@@ -121,6 +130,11 @@ class LimitedSignal:
         limits = np.asarray(self._limits, dtype=np.float64)[idx]
         return np.minimum(self.inner.value(times), limits)
 
+    def change_points(self) -> np.ndarray | None:
+        """The inner signal's change points plus every limit write."""
+        return merge_change_points(
+            (change_points(self.inner), np.asarray(self._times)))
+
 
 class ThermalModel:
     """First-order RC thermal node driven by a power signal.
@@ -152,24 +166,27 @@ class ThermalModel:
     def _extend(self, t_end: float) -> None:
         target = max(t_end * 1.1, self._times[-1] + 16 * self.dt)
         n_new = int(np.ceil((target - self._times[-1]) / self.dt))
+        start, end = self._grid_n, self._grid_n + n_new
         # Index-based grid points (dt * k), like CumulativeIntegral: the
         # cached temperature history is bit-identical regardless of how
         # reads were chunked (scalar ticks vs one block read).
-        new_times = self.dt * np.arange(
-            self._grid_n + 1, self._grid_n + n_new + 1
-        ).astype(np.float64)
-        powers = self.power.value(new_times)
-        temps = np.empty(n_new)
-        temp = self._temps[-1]
-        # Exact exponential step for piecewise-constant power.
-        decay = np.exp(-self.dt / (self.r * self.c))
-        for i in range(n_new):
-            steady = self.ambient_c + powers[i] * self.r
+        grid, _ = shared_grid(self.dt, end + 1)
+        times = grid[:end + 1]
+        powers = run_length_value(self.power, times[start + 1:]).tolist()
+        temps = []
+        temp = float(self._temps[-1])
+        # Exact exponential step for piecewise-constant power, on Python
+        # floats (the same IEEE arithmetic as numpy scalars, without
+        # their per-operation overhead).
+        decay = float(np.exp(-self.dt / (self.r * self.c)))
+        ambient, r = self.ambient_c, self.r
+        for power in powers:
+            steady = ambient + power * r
             temp = steady + (temp - steady) * decay
-            temps[i] = temp
-        self._times = np.concatenate((self._times, new_times))
+            temps.append(temp)
+        self._times = times
         self._temps = np.concatenate((self._temps, temps))
-        self._grid_n += n_new
+        self._grid_n = end
 
     def temperature(self, t: np.ndarray | float) -> np.ndarray:
         """Temperature in Celsius at time(s) ``t``."""

@@ -32,28 +32,35 @@ PACKS_DIR_ENV = "REPRO_PACKS_DIR"
 _CHAOS_ORDER = ("bmc_dark", "daemon_wedge", "bus_noise")
 
 
+_BUILTIN_PACKS_DIR = Path(__file__).resolve().parents[3] / "packs"
+
+
 def packs_dir() -> Path:
     """The active pack directory (built-in unless overridden)."""
     override = os.environ.get(PACKS_DIR_ENV)
     if override:
         return Path(override)
-    return Path(__file__).resolve().parents[3] / "packs"
+    return _BUILTIN_PACKS_DIR
 
 
 def pack_paths() -> dict[str, Path]:
     """Pack name -> manifest path, sorted by name."""
     root = packs_dir()
-    if not root.is_dir():
+    try:
+        with os.scandir(root) as entries:
+            names = sorted(entry.name for entry in entries if entry.is_file())
+    except (FileNotFoundError, NotADirectoryError):
         return {}
     paths: dict[str, Path] = {}
-    for path in sorted(root.iterdir()):
-        if path.suffix not in SUFFIXES or not path.is_file():
+    for name in names:
+        stem, suffix = os.path.splitext(name)
+        if suffix not in SUFFIXES:
             continue
-        if path.stem in paths:
+        if stem in paths:
             raise PackError(
-                f"pack {path.stem!r}: both {paths[path.stem].name} and "
-                f"{path.name} exist in {root}")
-        paths[path.stem] = path
+                f"pack {stem!r}: both {paths[stem].name} and "
+                f"{name} exist in {root}")
+        paths[stem] = root / name
     return paths
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import tomllib
+from functools import lru_cache
 from pathlib import Path
 
 from repro.errors import PackError
@@ -33,10 +34,7 @@ def load_manifest(path: str | Path) -> dict:
     except OSError as exc:
         raise PackError(f"pack manifest {str(path)!r}: {exc}") from exc
     try:
-        if path.suffix == ".toml":
-            data = tomllib.loads(raw.decode("utf-8"))
-        else:
-            data = json.loads(raw.decode("utf-8"))
+        data = _decode(path.suffix, raw)
     except (tomllib.TOMLDecodeError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         raise PackError(f"pack manifest {str(path)!r}: {exc}") from exc
@@ -44,7 +42,28 @@ def load_manifest(path: str | Path) -> dict:
         raise PackError(
             f"pack manifest {str(path)!r}: root must be a table, "
             f"got {type(data).__name__}")
-    return data
+    # Callers may fold overrides into the mapping: never hand out the
+    # memoized object itself.
+    return _copy_tree(data)
+
+
+def _copy_tree(value):
+    """Copy the dicts and lists of a decoded manifest (leaves are
+    immutable scalars)."""
+    if isinstance(value, dict):
+        return {key: _copy_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_tree(item) for item in value]
+    return value
+
+
+@lru_cache(maxsize=64)
+def _decode(suffix: str, raw: bytes):
+    """Parse manifest bytes, memoized on the bytes themselves: a re-run
+    of an unchanged manifest skips the parse, an edited one never hits."""
+    if suffix == ".toml":
+        return tomllib.loads(raw.decode("utf-8"))
+    return json.loads(raw.decode("utf-8"))
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

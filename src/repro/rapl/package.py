@@ -31,6 +31,7 @@ from repro.rapl.msr import (
     encode_units,
 )
 from repro.sim.rng import RngRegistry
+from repro.sim.signals import NO_CHANGE
 from repro.workloads.base import Component
 
 
@@ -221,6 +222,9 @@ class _DramSignal:
     def value(self, t):
         return self.idle_w + self.dyn_w * self.board.utilization(Component.CPU_DRAM, t)
 
+    def change_points(self):
+        return self.board.change_points(Component.CPU_DRAM)
+
 
 class _Pp1Signal:
     """PP1 (uncore device / integrated GPU) power.
@@ -234,6 +238,9 @@ class _Pp1Signal:
 
     def value(self, t):
         return np.zeros_like(np.asarray(t, dtype=np.float64))
+
+    def change_points(self):
+        return NO_CHANGE
 
 
 class _JitteredCounter:

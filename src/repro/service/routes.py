@@ -168,6 +168,8 @@ def query(svc, req: Request, kind: str):
                 req.float_param("t1"), req.float_param("window"), prefix,
             )
         ]
+        if not rows:
+            _check_field(req, table, [svc.store])
     elif kind == "range":
         rows = [reading_json(r) for r in svc.store.range(
             table, req.float_param("t0"), req.float_param("t1"), prefix)]
@@ -189,6 +191,20 @@ def query(svc, req: Request, kind: str):
         "count": len(rows),
         "rows": rows,
     }
+
+
+def _check_field(req: Request, table: str, stores) -> None:
+    """Explain an empty aggregate: a ``field`` that none of the records
+    ``table`` holds in ``stores`` carries is a 400 naming it.  A table
+    with no records yet keeps its empty 200."""
+    name = req.param("field")
+    held = [f for f in (store.fields(table) for store in stores)
+            if f is not None]
+    known = set().union(*held)
+    if held and name not in known:
+        raise BadRequest(
+            f"parameter 'field': table {table!r} has no field {name!r}; "
+            f"have {sorted(known)}")
 
 
 def _federated_aggregate(svc, req: Request, table: str, prefix: str):
@@ -226,6 +242,8 @@ def _federated_aggregate(svc, req: Request, table: str, prefix: str):
             rollup=rollup,
         )
     ]
+    if not rows:
+        _check_field(req, table, svc.fleet.sites.values())
     return {
         "kind": "aggregate",
         "table": table,

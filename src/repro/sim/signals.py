@@ -6,6 +6,12 @@ pulses for the rhythmic structure in the paper's Figure 3), the device maps
 utilization to watts, and sensors sample the result.  Every signal
 evaluates vectorized over a NumPy array of times, which is what makes
 regenerating a 250-second trace at 100 ms resolution cheap.
+
+Piecewise-constant signals may also offer ``change_points()``: the
+sorted times where their value *may* change, so a long grid can be
+evaluated once per constant run (see :func:`repro.sim.integrate
+.run_length_value`).  ``None`` — or no such method — means "unknown":
+ramps, pulses and exponential approaches are evaluated densely.
 """
 
 from __future__ import annotations
@@ -30,6 +36,30 @@ class Signal(Protocol):
         ...
 
 
+#: Change points of a signal that never changes.
+NO_CHANGE = np.zeros(0)
+NO_CHANGE.flags.writeable = False
+
+
+def change_points(signal) -> np.ndarray | None:
+    """Times where ``signal`` may change value, or None when unknown.
+
+    Between two consecutive change points the signal's value is one
+    float, bit for bit; signals without a ``change_points`` method are
+    unknown.
+    """
+    method = getattr(signal, "change_points", None)
+    return None if method is None else method()
+
+
+def merge_change_points(parts) -> np.ndarray | None:
+    """Union of several change-point sets; None if any part is unknown."""
+    parts = list(parts)
+    if any(part is None for part in parts):
+        return None
+    return np.unique(np.concatenate([NO_CHANGE, *parts]))
+
+
 class ConstantSignal:
     """``value(t) == level`` everywhere."""
 
@@ -38,6 +68,9 @@ class ConstantSignal:
 
     def value(self, t: np.ndarray | float) -> np.ndarray:
         return np.full_like(_as_times(t), self.level, dtype=np.float64)
+
+    def change_points(self) -> np.ndarray:
+        return NO_CHANGE
 
 
 class PiecewiseConstantSignal:
@@ -64,6 +97,9 @@ class PiecewiseConstantSignal:
     def value(self, t: np.ndarray | float) -> np.ndarray:
         idx = np.searchsorted(self.breakpoints, _as_times(t), side="right")
         return self.levels[idx]
+
+    def change_points(self) -> np.ndarray:
+        return self.breakpoints
 
 
 class RampSignal:
@@ -147,6 +183,9 @@ class SumSignal:
         for component in self.components:
             total = total + component.value(times)
         return total
+
+    def change_points(self) -> np.ndarray | None:
+        return merge_change_points(change_points(c) for c in self.components)
 
 
 class ScaledSignal:

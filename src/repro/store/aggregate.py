@@ -11,6 +11,7 @@ costs O(matching windows) dictionary lookups.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -146,11 +147,20 @@ class AggregateCache:
         locations matching ``location_prefix``."""
         lo = window_index(t0, window_s)
         hi = window_index(t1, window_s)
+        span = hi - lo + 1
         out: list[Aggregate] = []
         for location, by_window in built.items():
             if not location.startswith(location_prefix):
                 continue
-            for idx in range(lo, hi + 1):
+            if span <= len(by_window):
+                indices = range(lo, hi + 1)
+            else:
+                # Fewer populated windows than the span: walk those.
+                # Maps built from a time-ordered run are already in
+                # window order, which ``sorted`` passes through in O(n).
+                keys = sorted(by_window)
+                indices = keys[bisect_left(keys, lo):bisect_right(keys, hi)]
+            for idx in indices:
                 acc = by_window.get(idx)
                 if acc is None:
                     continue

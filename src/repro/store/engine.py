@@ -83,7 +83,8 @@ class _ShardTable:
     backfills still reach a tailing consumer.
     """
 
-    __slots__ = ("keys", "records", "latest", "log_seqs", "log_records")
+    __slots__ = ("keys", "records", "latest", "log_seqs", "log_records",
+                 "_fields", "_fields_seen")
 
     def __init__(self):
         self.keys: list[tuple[float, int]] = []
@@ -91,6 +92,17 @@ class _ShardTable:
         self.latest: dict[str, Reading] = {}
         self.log_seqs: list[int] = []
         self.log_records: list[Reading] = []
+        # Field names of the first ``_fields_seen`` log entries.
+        self._fields: set[str] = set()
+        self._fields_seen = 0
+
+    def fields(self) -> frozenset[str]:
+        """Every field name the held records carry; each ask scans only
+        the log entries ingested since the last one."""
+        for reading in self.log_records[self._fields_seen:]:
+            self._fields.update(reading.values)
+        self._fields_seen = len(self.log_records)
+        return frozenset(self._fields)
 
     def insert(self, reading: Reading, seq: int) -> None:
         key = (reading.timestamp, seq)
@@ -107,6 +119,9 @@ class _ShardTable:
             pos = bisect_left(self.log_seqs, seq)
             self.log_seqs.insert(pos, seq)
             self.log_records.insert(pos, reading)
+            if pos < self._fields_seen:
+                self._fields.update(reading.values)
+                self._fields_seen += 1
         else:
             self.log_seqs.append(seq)
             self.log_records.append(reading)
@@ -377,6 +392,18 @@ class ShardedStore:
         STORE_QUERIES.labels("aggregate").inc()
         STORE_QUERY_ROWS.inc(len(out))
         return out
+
+    def fields(self, table: str) -> frozenset[str] | None:
+        """Every field name recorded in ``table``, across shards; None
+        while the table holds no records (any field may yet arrive)."""
+        self._check_table(table)
+        out: set[str] = set()
+        held = False
+        for shard in self._shards:
+            with shard.lock:
+                held = held or bool(shard.tables[table].records)
+                out |= shard.tables[table].fields()
+        return frozenset(out) if held else None
 
     def tail(self, table: str, cursor: int = 0, location_prefix: str = "",
              limit: int | None = None) -> TailBatch:

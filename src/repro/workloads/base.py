@@ -16,7 +16,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.sim.signals import PiecewiseConstantSignal, Signal, SumSignal
+from repro.sim.signals import (
+    NO_CHANGE,
+    PiecewiseConstantSignal,
+    Signal,
+    SumSignal,
+    change_points,
+    merge_change_points,
+)
 
 
 class Component:
@@ -103,6 +110,16 @@ class Workload:
         active = (times >= 0.0) & (times <= self.duration)
         return np.where(active, np.clip(signal.value(times), 0.0, 1.0), 0.0)
 
+    def change_points(self, component: str) -> np.ndarray | None:
+        """Times where :meth:`utilization` of ``component`` may change:
+        the signal's own change points plus the active window's edges
+        (None when the signal's are unknown)."""
+        signal = self.signals.get(component)
+        if signal is None:
+            return NO_CHANGE
+        return merge_change_points(
+            (change_points(signal), np.array([0.0, self.duration])))
+
     def shifted(self, t_start: float) -> "ScheduledWorkload":
         """This workload scheduled to begin at absolute time ``t_start``."""
         return ScheduledWorkload(self, t_start)
@@ -135,6 +152,11 @@ class ScheduledWorkload:
 
     def utilization(self, component: str, t: np.ndarray | float) -> np.ndarray:
         return self.workload.utilization(component, np.asarray(t, dtype=np.float64) - self.t_start)
+
+    def change_points(self, component: str) -> np.ndarray | None:
+        """The workload's change points on the absolute timeline."""
+        points = self.workload.change_points(component)
+        return None if points is None else points + self.t_start
 
 
 @dataclass(frozen=True)

@@ -70,25 +70,25 @@ class SystemManagementController:
         return float(reader(t))
 
     def read_sensor_block(self, name: str, times: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`read_sensor` over a time grid.
-
-        Sensors whose models take arrays (the ones MonEQ polls) read in
-        one shot, elementwise identical to the scalar loop; the rest
-        fall back to looping.
-        """
+        """Vectorized :meth:`read_sensor` over a time grid, elementwise
+        identical to a loop of scalar reads."""
         times = np.asarray(times, dtype=np.float64)
         card = self.card
         if name == "power_w":
             return np.asarray(card.power_gauge.read(times), dtype=np.float64)
-        if name == "die_temp_c":
-            return np.asarray(card.die_temperature_c(times), dtype=np.float64)
-        if name == "gddr_temp_c":
-            return np.asarray(card.die_temperature_c(times), dtype=np.float64) - 8.0
+        if name == "core_voltage_v":
+            return card.core_rail_voltage(times)
+        if name == "core_current_a":
+            return card.core_rail_current(times)
         if name == "exhaust_temp_c":
-            intake = card.intake_temperature_c(0.0)
+            return card.exhaust_temperature_c(times)
+        if name == "fan_rpm":
+            return card.fan_speed_rpm(times)
+        if name in ("die_temp_c", "gddr_temp_c"):
             die = np.asarray(card.die_temperature_c(times), dtype=np.float64)
-            return intake + 0.55 * (die - intake)
-        return np.array([self.read_sensor(name, float(t)) for t in times])
+            return die if name == "die_temp_c" else die - 8.0
+        # The rest do not depend on time: one read covers the grid.
+        return np.full(times.shape, self.read_sensor(name, 0.0))
 
     def read_all(self, t: float) -> dict[str, float]:
         """Snapshot of every sensor at ``t`` (one SMC scan)."""

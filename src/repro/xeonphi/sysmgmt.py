@@ -59,6 +59,11 @@ class _PollingFootprint:
         active = (times >= self.t_start) & (times < self.t_stop)
         return np.where(active, self.level, 0.0)
 
+    def change_points(self):
+        """The live window edges (an open window has no stop yet)."""
+        edges = np.array([self.t_start, self.t_stop], dtype=np.float64)
+        return edges[np.isfinite(edges)]
+
 
 class SysMgmtApi:
     """A host-side handle to one card's SysMgmt agent.

@@ -112,6 +112,32 @@ class TestQueries:
         assert seen == total
 
 
+class TestFineAggregate:
+    def test_millisecond_windows_cost_populated_windows_only(self, client,
+                                                             rig):
+        """~481k windows per location over the rig's history, two
+        records each: the answer walks the records, not the windows."""
+        import time
+
+        from repro.store import window_index
+
+        machine = rig[0]
+        params = {"table": "bpm", "field": "input_power_w", "t0": 0.0,
+                  "t1": machine.clock.now, "window": 0.001}
+        start = time.perf_counter()
+        response = client.get("/v2/query/aggregate", params)
+        assert time.perf_counter() - start < 1.0
+        assert response.status == 200
+        records = machine.envdb.store.range("bpm", 0.0, machine.clock.now)
+        expected = sorted((window_index(r.timestamp, 0.001) * 0.001,
+                           r.location)
+                          for r in records)
+        rows = response.json()["rows"]
+        assert [(row["window_start"], row["location"]) for row in rows] \
+            == expected
+        assert all(row["count"] == 1 for row in rows)
+
+
 class TestErrors:
     def test_unknown_path_404(self, client):
         response = client.get("/v2/nope")
@@ -141,6 +167,34 @@ class TestErrors:
         error = response.json()["error"]
         assert error["origin"] == "repro.service"
         assert "'window'" in error["detail"]
+
+    def test_unknown_field_400_names_it(self, client, rig):
+        response = client.get("/v2/query/aggregate", {
+            "table": "bpm", "field": "nope", "t0": 0.0,
+            "t1": rig[0].clock.now, "window": 60.0})
+        assert response.status == 400
+        error = response.json()["error"]
+        assert error["origin"] == "repro.service"
+        assert "'nope'" in error["detail"]
+        assert "input_power_w" in error["detail"]
+
+    def test_known_field_outside_the_data_is_an_empty_200(self, client):
+        response = client.get("/v2/query/aggregate", {
+            "table": "bpm", "field": "input_power_w", "t0": -120.0,
+            "t1": -60.0, "window": 60.0})
+        assert response.status == 200
+        assert response.json()["rows"] == []
+
+    def test_any_field_on_an_empty_store_is_an_empty_200(self):
+        from repro.store import ShardedStore
+
+        empty = ServiceClient(ServiceApp(ShardedStore(("bpm",), n_shards=2)))
+        for name in ("input_power_w", "nope"):
+            response = empty.get("/v2/query/aggregate", {
+                "table": "bpm", "field": name, "t0": 0.0, "t1": 60.0,
+                "window": 60.0})
+            assert response.status == 200
+            assert response.json()["rows"] == []
 
     @pytest.mark.parametrize("name,value", [("t0", "inf"), ("t1", "-inf"),
                                             ("t0", "nan")])

@@ -69,6 +69,14 @@ def test_unknown_site_is_a_structured_400(client):
     assert "no site 'nosite'" in error["detail"]
 
 
+def test_unknown_field_is_a_structured_400(client):
+    response = client.get("/v2/query/aggregate", _params(field="nope"))
+    assert response.status == 400
+    detail = response.json()["error"]["detail"]
+    assert "'nope'" in detail
+    assert "input_power_w" in detail
+
+
 def test_other_query_kinds_stay_site_local(client):
     """Only the aggregate kind federates; range/latest still answer
     from the primary site's store (un-prefixed locations)."""

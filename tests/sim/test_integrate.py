@@ -63,3 +63,33 @@ def test_grid_extension_is_consistent():
 def test_zero_time_is_zero():
     ci = CumulativeIntegral(ConstantSignal(123.0))
     assert ci.value(0.0) == 0.0
+
+
+def test_cached_history_does_not_depend_on_read_chunking():
+    """One read to 100 s and 200 chunked reads cache the same running
+    sum, bit for bit (the carry is folded into each chunk's first step,
+    not added to a chunk-local cumsum)."""
+    from repro.sim.signals import PiecewiseConstantSignal
+
+    signal = PiecewiseConstantSignal([3.3, 41.7, 77.01],
+                                     [5.0, 42.5, 17.25, 30.125])
+    whole = CumulativeIntegral(signal)
+    whole.value(100.0)
+    chunked = CumulativeIntegral(signal)
+    for t in np.linspace(0.5, 100.0, 200):
+        chunked.value(t)
+    n = min(whole._cumulative.shape[0], chunked._cumulative.shape[0])
+    assert n > 100_000
+    assert whole._cumulative[:n].tobytes() == chunked._cumulative[:n].tobytes()
+
+
+def test_shared_grid_is_read_only_and_index_based():
+    from repro.sim.integrate import shared_grid
+
+    times, steps = shared_grid(0.25, 10)
+    assert times.shape[0] >= 10 and steps.shape[0] == times.shape[0] - 1
+    assert not times.flags.writeable and not steps.flags.writeable
+    assert times[:10].tolist() == [0.25 * k for k in range(10)]
+    grown, _ = shared_grid(0.25, times.shape[0] + 1)
+    assert grown.shape[0] >= 2 * times.shape[0]
+    assert grown[:times.shape[0]].tobytes() == times.tobytes()

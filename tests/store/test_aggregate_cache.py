@@ -70,6 +70,38 @@ class TestAggregateValues:
             store.aggregate("bpm", "input_power_w", 0.0, 60.0, 0.0)
 
 
+class TestSelect:
+    def test_sparse_walk_matches_every_window_walk(self):
+        """Spans wider than a location's populated windows walk those
+        windows; the rows and their order match a walk of every index
+        in the span."""
+        import random
+
+        from repro.store.aggregate import Aggregate, AggregateCache
+
+        rng = random.Random(3)
+        samples = [(rng.uniform(0.0, 500.0), f"R0{rng.randrange(3)}-M0",
+                    rng.uniform(0.0, 9.0)) for _ in range(300)]
+        store = _store_with(samples)
+        records = store.range("bpm", 0.0, 500.0)
+        for window in (0.01, 0.5, 7.0, 60.0, 1000.0):
+            built = store._shards[0].cache.windows(
+                "bpm", "input_power_w", window, records)
+            for t0, t1 in ((0.0, 500.0), (42.0, 42.5), (130.0, 377.0),
+                           (600.0, 700.0)):
+                lo, hi = window_index(t0, window), window_index(t1, window)
+                reference = [
+                    Aggregate(loc, "input_power_w", idx * window, window,
+                              int(acc[0]), acc[1], acc[2], acc[3])
+                    for loc, by_window in built.items()
+                    if loc.startswith("R0")
+                    for idx in range(lo, hi + 1)
+                    if (acc := by_window.get(idx)) is not None
+                ]
+                assert AggregateCache.select(
+                    built, "input_power_w", window, t0, t1, "R0") == reference
+
+
 class TestCacheLifecycle:
     def test_miss_then_hit_then_invalidation_on_ingest(self):
         store = _store_with([(10.0, LOC, 1.0), (20.0, LOC, 2.0)])

@@ -141,3 +141,31 @@ class TestMetrics:
         assert STORE_QUERY_ROWS.value() == 3.0
         store.latest("bpm")
         assert STORE_QUERIES.value("latest") == 1.0
+
+
+class TestFields:
+    def test_empty_table_has_none(self):
+        assert ShardedStore(TABLES).fields("bpm") is None
+
+    def test_fields_follow_ingest_in_and_out_of_order(self):
+        store = ShardedStore(TABLES, n_shards=2)
+        store.ingest("bpm", _reading(2.0, "R00-M0-N00"))
+        assert store.fields("bpm") == {"input_power_w"}
+        store.ingest("bpm", Reading(1.0, "R00-M0-N01", "envdb",
+                                    {"output_power_w": 1.0}))
+        store.ingest("bpm", Reading(3.0, "R01-M0-N00", "envdb",
+                                    {"input_current_a": 1.0}))
+        assert store.fields("bpm") == {"input_power_w", "output_power_w",
+                                       "input_current_a"}
+        assert store.fields("fan") is None
+
+    def test_late_sequence_number_is_counted_once_scanned(self):
+        # A writer racing past another lands its record mid-log; the
+        # field set must still see it.
+        store = ShardedStore(TABLES)
+        table = store._shards[0].tables["bpm"]
+        table.insert(_reading(1.0, "R00-M0-N00"), 5)
+        assert table.fields() == {"input_power_w"}
+        table.insert(Reading(0.5, "R00-M0-N00", "envdb", {"late_w": 1.0}), 3)
+        table.insert(Reading(2.0, "R00-M0-N00", "envdb", {"tail_w": 1.0}), 9)
+        assert table.fields() == {"input_power_w", "late_w", "tail_w"}

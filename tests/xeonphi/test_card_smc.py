@@ -89,3 +89,46 @@ class TestSmc:
 
     def test_gddr_cooler_than_die(self, smc):
         assert smc.read_sensor("gddr_temp_c", 5.0) < smc.read_sensor("die_temp_c", 5.0)
+
+
+class TestSmcBlockParity:
+    """``read_sensor_block`` is a loop of scalar ``read_sensor`` calls,
+    elementwise and bit for bit, for every SMC sensor."""
+
+    @staticmethod
+    def _busy_card():
+        card = PhiCard(XEON_PHI_SE10P, rng=RngRegistry(31), clock=VirtualClock())
+        card.board.schedule(OffloadGaussianWorkload(datagen_seconds=20.0), 3.7)
+        card.set_power_limit(240.0, 150.3)
+        return card
+
+    @pytest.mark.parametrize("name", SMC_SENSORS)
+    def test_block_equals_scalar_loop(self, name):
+        # Idle, ramping and capped stretches; the die climbs through the
+        # fan's whole duty range.
+        times = np.concatenate((np.linspace(0.0, 400.0, 1601), [0.05, 77.7]))
+        block = SystemManagementController(self._busy_card())
+        scalar = SystemManagementController(self._busy_card())
+        got = block.read_sensor_block(name, times)
+        want = np.array([scalar.read_sensor(name, float(t)) for t in times])
+        assert got.dtype == np.float64
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    def test_fan_rpm_ties_round_half_to_even(self, card, smc, monkeypatch):
+        # Die temperatures whose fan speed lands exactly on x.5 RPM.
+        dies = [45.0 + 50.0 * (k + 0.5) / 3300.0 for k in range(3300)]
+        ties = [d for d in dies
+                if (2700 + np.clip((d - 45.0) / 50.0, 0.0, 1.0) * 3300) % 1
+                == 0.5]
+        assert len(ties) > 10
+        table = np.array(ties)
+        monkeypatch.setattr(card, "die_temperature_c",
+                            lambda t: table[np.asarray(t, dtype=np.int64)])
+        times = np.arange(len(ties), dtype=np.float64)
+        got = smc.read_sensor_block("fan_rpm", times)
+        want = [smc.read_sensor("fan_rpm", float(t)) for t in times]
+        assert got.tolist() == want
+        # Python's round() ties to even as well: same speeds as ever.
+        assert want == [float(round(2700 + np.clip((d - 45.0) / 50.0, 0.0, 1.0)
+                                    * 3300)) for d in ties]
+        assert all(v % 2 == 0 for v in want)
