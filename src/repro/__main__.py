@@ -33,13 +33,6 @@
                                         # relative floors from the
                                         # committed BENCH_smoke.json,
                                         # writes nothing)
-    python -m repro fleet sweep [--smoke] [--json PATH]
-                                        # federated multi-cluster sweep
-                                        # + channel-cache ablation ->
-                                        # BENCH_fleet.json (default:
-                                        # the 10x-Mira fleet; --smoke:
-                                        # 2 sites x 4 racks, no write
-                                        # unless --json is given)
     python -m repro serve [--host H] [--port P] [--racks N]
                           [--shards N] [--sweeps N]
                                         # stand up a populated simulated
@@ -55,15 +48,6 @@
     python -m repro mech list           # the declared mechanism registry
                                         # (channel, latency, min interval,
                                         # capabilities per vendor path)
-    python -m repro chaos list          # the chaos scenario catalog
-    python -m repro chaos run <scenario> [--seed N] [--duration S]
-                                        [--rate R]
-                                        # run one fault-injection
-                                        # scenario over the fleet; the
-                                        # summary line is byte-stable
-                                        # for a given (scenario, seed)
-                                        # (pack-backed: the catalog is
-                                        # the chaos-kind manifests)
     python -m repro pack list           # the scenario-pack catalog
     python -m repro pack show <name> [--json]
                                         # one validated manifest
@@ -74,12 +58,17 @@
                                         # exec engine and run them
                                         # (--smoke: the fixed CI pair;
                                         # --json: payloads as JSON)
+
+Exit status: 0 on success, 1 when a run or a gate fails, 2 on a usage
+error (an unknown command or pack, a malformed flag, or a value the
+library rejects, printed as one ``<command>: <message>`` line).
 """
 
 from __future__ import annotations
 
 import sys
 
+from repro.errors import ReproError
 from repro.experiments import ALL_EXPERIMENTS
 from repro.experiments import report as report_module
 
@@ -246,22 +235,6 @@ def _bench_command(args: list[str]) -> int:
     return 0
 
 
-def _fleet_command(args: list[str]) -> int:
-    """Deprecated alias: ``repro fleet sweep`` now runs as the
-    ``fleet-sweep`` scenario pack; the command itself lives in
-    :func:`repro.packs.shims.fleet_command` (same flags, same stdout
-    bytes, same exit codes)."""
-    from repro._compat import deprecated_alias
-    from repro.packs import shims
-
-    command = deprecated_alias(
-        "repro.__main__._fleet_command",
-        "repro.packs.shims.fleet_command",
-        shims.fleet_command,
-    )
-    return command(args)
-
-
 def _int_flags(args: list[str], flags: dict[str, object]
                ) -> tuple[dict[str, object], list[str]]:
     """Parse ``--name value`` pairs out of ``args`` into ``flags``
@@ -410,22 +383,6 @@ def _mech_command(args: list[str]) -> int:
         title=f"[repro mech list] {len(rows)} declared vendor paths",
     ))
     return 0
-
-
-def _chaos_command(args: list[str]) -> int:
-    """Deprecated alias: ``repro chaos`` now dispatches the chaos-kind
-    scenario packs; the command itself lives in
-    :func:`repro.packs.shims.chaos_command` (same flags, same stdout
-    bytes, same exit codes)."""
-    from repro._compat import deprecated_alias
-    from repro.packs import shims
-
-    command = deprecated_alias(
-        "repro.__main__._chaos_command",
-        "repro.packs.shims.chaos_command",
-        shims.chaos_command,
-    )
-    return command(args)
 
 
 def _pack_command(args: list[str]) -> int:
@@ -703,6 +660,16 @@ def main(argv: list[str] | None = None) -> int:
     if not args or args[0] in ("-h", "--help", "help"):
         print(__doc__.strip())
         return 0
+    try:
+        return _dispatch(args)
+    except ReproError as exc:
+        # A rejected argument value (racks 0, --jobs 0, an interval
+        # outside the envdb range, ...) is a usage error, not a crash.
+        print(f"{args[0]}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: list[str]) -> int:
     command = args[0]
     if command == "list":
         for name in ALL_EXPERIMENTS:
@@ -714,16 +681,12 @@ def main(argv: list[str] | None = None) -> int:
         return _store_command(args[1:])
     if command == "bench":
         return _bench_command(args[1:])
-    if command == "fleet":
-        return _fleet_command(args[1:])
     if command == "serve":
         return _serve_command(args[1:])
     if command == "service":
         return _service_command(args[1:])
     if command == "mech":
         return _mech_command(args[1:])
-    if command == "chaos":
-        return _chaos_command(args[1:])
     if command == "pack":
         return _pack_command(args[1:])
     if command == "exec":

@@ -19,7 +19,7 @@ already goes through:
   (:data:`~repro.chaos.injector.DARK_READING`) until a half-open probe
   succeeds;
 * :mod:`~repro.chaos.scenarios` — the named catalog (``bmc_dark``,
-  ``daemon_wedge``, ``bus_noise``) behind ``repro chaos run``.
+  ``daemon_wedge``, ``bus_noise``), run with ``repro pack run``.
 
 ``scenarios`` members are exported lazily (PEP 562): the scenario
 runner stands up testbeds, whose backends import the mechanism layer,

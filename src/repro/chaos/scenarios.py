@@ -15,8 +15,8 @@ catalog this module used to carry.
 runtime (:func:`repro.packs.runtime.execute_scenario` — the same code
 path ``repro pack run`` compiles onto the exec engine), and returns a
 :class:`ScenarioResult` whose :meth:`~ScenarioResult.summary_line` is
-byte-stable for a given (scenario, seed) — the CLI smoke test and the
-determinism property suite both pin it.
+byte-stable for a given (scenario, seed) — the scenario goldens and
+the determinism property suite both pin it.
 """
 
 from __future__ import annotations

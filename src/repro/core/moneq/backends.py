@@ -1,4 +1,4 @@
-"""The concrete MonEQ backends: eight declared vendor paths.
+"""The concrete MonEQ backends: nine declared vendor paths.
 
 Each backend is a thin :class:`~repro.mech.mechanism.Mechanism`
 composition — a registered :class:`~repro.mech.registry.MechanismSpec`
@@ -21,6 +21,8 @@ freshness model:
 * Phi MICRAS daemon: 50 ms (SMC refresh) at 0.04 ms/query;
 * Phi out-of-band (BMC over IPMB): free for host and card, but 22 ms
   per sensor exchange and milli-unit wire quantization.
+* Phi micsmc: the in-band path's 100 ms floor, one SCIF round trip
+  per card-status sensor.
 """
 
 from __future__ import annotations
@@ -227,16 +229,13 @@ MICSMC_SPEC = register(MechanismSpec(
 ))
 
 # ---------------------------------------------------------------------------
-# The compositions: historical constructor signatures, no read bodies.
+# The compositions: each binds a live device to its spec (driver checks,
+# labels, session hooks, gate binding) — no read bodies.
 # ---------------------------------------------------------------------------
 
 
 class BgqEmonBackend(Mechanism):
     """The 7-domain EMON view of one node card (32 nodes)."""
-
-    platform = EMON_SPEC.platform
-    mechanism = EMON_SPEC.name
-    MIN_INTERVAL_S = EMON_SPEC.min_interval_s
 
     def __init__(self, emon: EmonInterface):
         super().__init__(EMON_SPEC, EmonSource(emon),
@@ -252,10 +251,6 @@ class RaplMsrBackend(Mechanism):
     too-slow session really does produce the erroneous data the paper
     warns about.
     """
-
-    platform = RAPL_MSR_SPEC.platform
-    mechanism = RAPL_MSR_SPEC.name
-    MIN_INTERVAL_S = RAPL_MSR_SPEC.min_interval_s
 
     def __init__(self, package: CpuPackage, label: str = "socket0",
                  node=None, gate_path: str = "/dev/cpu/0/msr"):
@@ -276,12 +271,6 @@ class RaplPowercapBackend(Mechanism):
     (~0.05 ms) instead of a chardev pread per domain.  Available on
     kernels >= 3.13 with the ``intel_rapl`` module loaded.
     """
-
-    platform = RAPL_POWERCAP_SPEC.platform
-    mechanism = RAPL_POWERCAP_SPEC.name
-    MIN_INTERVAL_S = RAPL_POWERCAP_SPEC.min_interval_s
-    #: Modeled sysfs open+read+parse cost per file.
-    SYSFS_READ_LATENCY_S = RAPL_POWERCAP_SPEC.channel.per_query_latency_s
 
     def __init__(self, node, package_index: int = 0, label: str | None = None):
         if not node.kernel.is_loaded("intel_rapl"):
@@ -307,10 +296,6 @@ class RaplPowercapBackend(Mechanism):
 class NvmlBackend(Mechanism):
     """Board power + temperature of one Kepler GPU."""
 
-    platform = NVML_SPEC.platform
-    mechanism = NVML_SPEC.name
-    MIN_INTERVAL_S = NVML_SPEC.min_interval_s
-
     def __init__(self, gpu: GpuDevice, query_latency_s: float = 1.3e-3):
         if not gpu.model.supports_power_readings:
             raise ConfigError(
@@ -327,10 +312,6 @@ class NvmlBackend(Mechanism):
 class PhiSysMgmtBackend(Mechanism):
     """In-band (SysMgmt API) view of one Phi card — expensive and
     power-perturbing, per the paper."""
-
-    platform = SYSMGMT_SPEC.platform
-    mechanism = SYSMGMT_SPEC.name
-    MIN_INTERVAL_S = SYSMGMT_SPEC.min_interval_s
 
     def __init__(self, api: SysMgmtApi):
         super().__init__(
@@ -350,10 +331,6 @@ class PhiMicrasBackend(Mechanism):
     """Device-side MICRAS pseudo-file view of one Phi card — cheap, but
     the read contends with the application on the card."""
 
-    platform = MICRAS_SPEC.platform
-    mechanism = MICRAS_SPEC.name
-    MIN_INTERVAL_S = MICRAS_SPEC.min_interval_s
-
     def __init__(self, daemon: MicrasDaemon):
         super().__init__(
             MICRAS_SPEC, SmcSensorSource(daemon.smc, MICRAS_SENSORS),
@@ -366,10 +343,6 @@ class PhiMicsmcBackend(Mechanism):
     """The host-side ``micsmc`` control panel polling one Phi card's
     status (paper §II-D) — the same SMC registers the other paths read,
     crossed in-band over SCIF one sensor at a time."""
-
-    platform = MICSMC_SPEC.platform
-    mechanism = MICSMC_SPEC.name
-    MIN_INTERVAL_S = MICSMC_SPEC.min_interval_s
 
     def __init__(self, smc: SystemManagementController,
                  label: str | None = None):
@@ -392,10 +365,6 @@ class RaplPerfBackend(Mechanism):
     charges the modeled syscall latency per tick.
     """
 
-    platform = RAPL_PERF_SPEC.platform
-    mechanism = RAPL_PERF_SPEC.name
-    MIN_INTERVAL_S = RAPL_PERF_SPEC.min_interval_s
-
     def __init__(self, perf: PerfEventRapl, label: str | None = None):
         super().__init__(
             RAPL_PERF_SPEC, PerfCounterSource(perf),
@@ -415,10 +384,6 @@ class PhiIpmbBackend(Mechanism):
     sensor is a full 22 ms bus round trip and values arrive quantized
     to milli-units by the wire encoding (the channel's quantization).
     """
-
-    platform = IPMB_SPEC.platform
-    mechanism = IPMB_SPEC.name
-    MIN_INTERVAL_S = IPMB_SPEC.min_interval_s
 
     def __init__(self, bmc: BaseboardManagementController,
                  label: str | None = None):

@@ -12,10 +12,8 @@ whatever the worker count or cache state.  Regenerate with::
 
 from __future__ import annotations
 
-# Back-compat re-export: the block dataclass lived here before the
-# engine existed, and tests/benchmarks import it from this module.
 from repro.exec.engine import Engine
-from repro.exec.spec import ExperimentReport  # noqa: F401
+from repro.exec.spec import ExperimentReport
 
 HEADER = [
     "# EXPERIMENTS — paper vs. measured",
@@ -74,67 +72,6 @@ def generate_markdown(jobs: int = 1, cache: bool = False,
         lines.extend(render_block(report))
     lines.extend(FOOTER)
     return "\n".join(lines)
-
-
-def _inline_block(exp_id: str) -> ExperimentReport:
-    """Run one experiment serially, uncached — the pre-engine behaviour
-    of the ``_t1``/``_f1``-style factories, kept for their callers."""
-    return Engine(jobs=1, cache=False).run_one(exp_id)
-
-
-def _t1() -> ExperimentReport:
-    return _inline_block("table1")
-
-
-def _t2() -> ExperimentReport:
-    return _inline_block("table2")
-
-
-def _t3() -> ExperimentReport:
-    return _inline_block("table3")
-
-
-def _f1() -> ExperimentReport:
-    return _inline_block("fig1")
-
-
-def _f2() -> ExperimentReport:
-    return _inline_block("fig2")
-
-
-def _f3() -> ExperimentReport:
-    return _inline_block("fig3")
-
-
-def _f4() -> ExperimentReport:
-    return _inline_block("fig4")
-
-
-def _f5() -> ExperimentReport:
-    return _inline_block("fig5")
-
-
-def _f6() -> ExperimentReport:
-    return _inline_block("fig6")
-
-
-def _f7() -> ExperimentReport:
-    return _inline_block("fig7")
-
-
-def _f8() -> ExperimentReport:
-    return _inline_block("fig8")
-
-
-def _oh() -> ExperimentReport:
-    return _inline_block("overheads")
-
-
-def _ro() -> ExperimentReport:
-    return _inline_block("rapl_overflow")
-
-
-ALL_REPORTS = [_t1, _t2, _t3, _f1, _f2, _f3, _f4, _f5, _f6, _f7, _f8, _oh, _ro]
 
 
 def main(jobs: int = 1, cache: bool = False,

@@ -15,7 +15,8 @@ scales the reproduction out:
   :func:`fleet_bench`, which writes ``BENCH_fleet.json`` including the
   channel-cache crossings ablation.
 
-``python -m repro fleet sweep`` drives it from the CLI.
+``python -m repro pack run fleet-sweep`` drives the smoke sweep from
+the CLI; ``fleet_bench()`` regenerates ``BENCH_fleet.json``.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ ROLLUP_WINDOW_S = 30.0
 
 #: Wall-time floor on the sweep, as a realtime factor: the fleet must
 #: simulate at least this many virtual seconds per wall second
-#: (locally ~1000x; 2x still means faster-than-the-hardware).  The CLI
-#: and the smoke perf check both gate on it.
+#: (locally ~1000x; 2x still means faster-than-the-hardware).  The
+#: smoke perf check (``perfbench.SMOKE_FLOORS["fleet"]``) gates on it.
 REALTIME_FLOOR = 2.0
 
 #: Crossings-reduction floor for the cache ablation: the channel cache

@@ -9,8 +9,7 @@ blocks.  The experiment id carries a short digest of the effective
 config, so the same pack run twice with different seeds registers as
 two distinct dynamic specs instead of colliding.
 
-``run_pack`` is the front door the CLI and the shims use.  Kind
-dispatch:
+``run_pack`` is the front door the CLI uses.  Kind dispatch:
 
 * ``experiments`` packs run the *named paper experiments directly* —
   no wrapper spec, so ``paper-core`` reproduces ``EXPERIMENTS.md``
@@ -31,7 +30,7 @@ from pathlib import Path
 from repro.exec.spec import ExperimentReport, ExperimentSpec, canonical_config
 from repro.packs.manifest import SUFFIXES, load_manifest, scenario_from_mapping
 from repro.packs.runtime import PackRunConfig
-from repro.packs.schema import ScenarioSpec
+from repro.packs.schema import ScenarioSpec, check_overrides
 
 #: Source modules whose text fingerprints every pack result — broad on
 #: purpose: a pack run crosses the session core, the mechanism layer,
@@ -83,7 +82,9 @@ def compile_spec(raw: dict, seed: int | None = None,
 
     Returns ``(experiment_spec, scenario_spec)``.  ``experiments``
     packs have no wrapper spec and are rejected here — run them
-    through :func:`run_pack`, which dispatches the paper specs.
+    through :func:`run_pack`, which dispatches the paper specs.  A
+    non-``None`` ``seed`` / ``duration_s`` / ``rate`` override passes
+    the manifest's own range checks before anything runs.
     """
     from repro.errors import PackError
     from repro.exec.registry import register_spec
@@ -93,6 +94,8 @@ def compile_spec(raw: dict, seed: int | None = None,
         raise PackError(
             f"pack {scenario.name!r}: 'experiments' packs run the "
             f"registered paper specs directly and do not compile")
+    check_overrides(scenario.name, seed=seed, duration_s=duration_s,
+                    rate=rate)
     config = PackRunConfig(
         manifest=json.dumps(raw, sort_keys=True, separators=(",", ":")),
         seed=scenario.seed if seed is None else seed,
@@ -130,8 +133,8 @@ def run_pack(name: str | dict, jobs: int = 1, cache: bool = True,
     """Run one pack through the engine.
 
     ``name`` is a catalog name, a manifest path, or a raw manifest
-    mapping (the fleet shim folds CLI flags into the catalog manifest
-    before dispatching).
+    mapping (a caller can fold its own settings into a catalog
+    manifest before dispatching).
     """
     from repro.exec.engine import Engine
     from repro.obs.instruments import PACK_RUN_SECONDS, PACK_RUNS

@@ -19,7 +19,7 @@ The four scenario kinds:
     (optionally under a fault plan) for ``duration_s``.
 ``chaos``
     A ``session`` whose fault plan is the point — the chaos catalog's
-    scenarios are these packs, and ``repro chaos run`` executes them.
+    scenarios are these packs, and ``repro pack run`` executes them.
 ``experiments``
     Regenerate the named paper experiments through the exec engine
     (content-addressed cache and all); ``paper-core`` lists them all.
@@ -30,6 +30,7 @@ The four scenario kinds:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import PackError
@@ -115,7 +116,8 @@ class FaultPlanSpec:
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Fleet-sweep profile knobs (mirrors ``repro fleet sweep``)."""
+    """Fleet-sweep profile knobs (the ``smoke`` flag of
+    :func:`repro.fleet.sweep.fleet_bench`)."""
 
     smoke: bool = True
 
@@ -185,6 +187,47 @@ def _get(ctx: str, path: str, data: dict, key: str, kinds, default=_MISSING):
     return value
 
 
+def _check_range(ctx: str, where: str, value, high: float = math.inf,
+                 closed_low: bool = False) -> float:
+    """``value`` as a float in ``(0, high]`` (``[0, high]`` when
+    ``closed_low``); NaN, infinities and non-numbers fail naming
+    ``where``.  The one numeric range check for manifests and for the
+    run-time overrides alike."""
+    if high < math.inf:
+        bound = f"in {'[' if closed_low else '('}0, {high:g}]"
+    else:
+        bound = (">= 0" if closed_low else "positive") + " and finite"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(ctx, f"{where} must be a number, got {type(value).__name__}")
+    number = float(value)
+    above = 0.0 <= number if closed_low else 0.0 < number
+    if not (math.isfinite(number) and above and number <= high):
+        _fail(ctx, f"{where} must be {bound}, got {value}")
+    return number
+
+
+def _check_seed(ctx: str, where: str, seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        _fail(ctx, f"{where} must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        _fail(ctx, f"{where} must be >= 0, got {seed}")
+    return seed
+
+
+def check_overrides(name: str, seed=None, duration_s=None,
+                    rate=None) -> None:
+    """Validate the run-time overrides of pack ``name`` (``--seed``,
+    ``--duration``, ``--rate``) with the manifest's own checks; each
+    ``None`` keeps the manifest value and is not checked."""
+    ctx = f"{name!r} override"
+    if seed is not None:
+        _check_seed(ctx, "--seed", seed)
+    if duration_s is not None:
+        _check_range(ctx, "--duration", duration_s)
+    if rate is not None:
+        _check_range(ctx, "--rate", rate, high=1.0, closed_low=True)
+
+
 def _kind_names(kinds) -> str:
     names = {str: "a string", bool: "a boolean", list: "a list",
              dict: "a table"}
@@ -199,19 +242,15 @@ def _parse_phase(ctx: str, path: str, raw: object) -> PhaseSpec:
     data = _require_mapping(ctx, path, raw)
     _check_keys(ctx, path, data, ("name", "duration_s", "loads"))
     name = _get(ctx, path, data, "name", (str,))
-    duration_s = float(_get(ctx, path, data, "duration_s", (int, float)))
-    if duration_s <= 0.0:
-        _fail(ctx, f"{path}.duration_s must be positive, got {duration_s}")
+    duration_s = _check_range(ctx, f"{path}.duration_s", _get(
+        ctx, path, data, "duration_s", (int, float)))
     loads_raw = _get(ctx, path, data, "loads", (dict,), default={})
     loads = []
     for component, level in loads_raw.items():
         where = f"{path}.loads.{component}"
-        if isinstance(level, bool) or not isinstance(level, (int, float)):
-            _fail(ctx, f"{where} must be a number, "
-                       f"got {type(level).__name__}")
-        if not 0.0 <= float(level) <= 1.0:
-            _fail(ctx, f"{where} must be in [0, 1], got {level}")
-        loads.append((str(component), float(level)))
+        loads.append((str(component),
+                      _check_range(ctx, where, level, high=1.0,
+                                   closed_low=True)))
     return PhaseSpec(name=name, duration_s=duration_s, loads=tuple(loads))
 
 
@@ -219,10 +258,9 @@ def _parse_workload(ctx: str, raw: object) -> WorkloadSpec:
     data = _require_mapping(ctx, "workload", raw)
     _check_keys(ctx, "workload", data, ("name", "phases", "start_s"))
     name = _get(ctx, "workload", data, "name", (str,))
-    start_s = float(_get(ctx, "workload", data, "start_s", (int, float),
-                         default=5.0))
-    if start_s < 0.0:
-        _fail(ctx, f"workload.start_s must be >= 0, got {start_s}")
+    start_s = _check_range(ctx, "workload.start_s", _get(
+        ctx, "workload", data, "start_s", (int, float), default=5.0),
+        closed_low=True)
     phases_raw = _get(ctx, "workload", data, "phases", (list,))
     if not phases_raw:
         _fail(ctx, "workload.phases must name at least one phase")
@@ -249,8 +287,8 @@ def _parse_testbed(ctx: str, raw: object) -> TestbedSpec:
                    f"{', '.join(GPU_MODELS)}; got {gpu_model!r}")
     power_cap_w = _get(ctx, "testbed", data, "power_cap_w", (int, float),
                        default=None)
-    if power_cap_w is not None and float(power_cap_w) <= 0.0:
-        _fail(ctx, f"testbed.power_cap_w must be positive, got {power_cap_w}")
+    if power_cap_w is not None:
+        power_cap_w = _check_range(ctx, "testbed.power_cap_w", power_cap_w)
     for key in ("gpu_model", "power_cap_w"):
         if key in data and kind != "gpu":
             _fail(ctx, f"testbed.{key} only applies to the 'gpu' testbed "
@@ -261,7 +299,7 @@ def _parse_testbed(ctx: str, raw: object) -> TestbedSpec:
                    f"(this one is {kind!r})")
     return TestbedSpec(
         kind=kind, seed=seed, gpu_model=gpu_model,
-        power_cap_w=None if power_cap_w is None else float(power_cap_w),
+        power_cap_w=power_cap_w,
         kernel=kernel,
     )
 
@@ -271,36 +309,28 @@ def _parse_fault_rule(ctx: str, path: str, raw: object) -> FaultRuleSpec:
     _check_keys(ctx, path, data,
                 ("mechanism", "rate", "kind", "t_start_frac", "t_end_frac"))
     mechanism = _get(ctx, path, data, "mechanism", (str,))
-    rate = _get(ctx, path, data, "rate", (int, float), default=None)
-    if rate is not None and not 0.0 <= float(rate) <= 1.0:
-        _fail(ctx, f"{path}.rate must be in [0, 1], got {rate}")
-    kind = _get(ctx, path, data, "kind", (str,), default="")
-    t_start_frac = float(_get(ctx, path, data, "t_start_frac",
-                              (int, float), default=0.0))
-    t_end_frac = _get(ctx, path, data, "t_end_frac", (int, float),
-                      default=None)
-    for label, value in (("t_start_frac", t_start_frac),
-                         ("t_end_frac", t_end_frac)):
-        if value is not None and not 0.0 <= float(value) <= 1.0:
-            _fail(ctx, f"{path}.{label} must be in [0, 1], got {value}")
-    if t_end_frac is not None and float(t_end_frac) <= t_start_frac:
+    fractions = {}
+    for key in ("rate", "t_start_frac", "t_end_frac"):
+        value = _get(ctx, path, data, key, (int, float),
+                     default=0.0 if key == "t_start_frac" else None)
+        fractions[key] = (None if value is None else _check_range(
+            ctx, f"{path}.{key}", value, high=1.0, closed_low=True))
+    t_start_frac, t_end_frac = fractions["t_start_frac"], fractions["t_end_frac"]
+    if t_end_frac is not None and t_end_frac <= t_start_frac:
         _fail(ctx, f"{path}: window [{t_start_frac}, {t_end_frac}) is empty")
     return FaultRuleSpec(
-        mechanism=mechanism,
-        rate=None if rate is None else float(rate),
-        kind=kind, t_start_frac=t_start_frac,
-        t_end_frac=None if t_end_frac is None else float(t_end_frac),
+        mechanism=mechanism, rate=fractions["rate"],
+        kind=_get(ctx, path, data, "kind", (str,), default=""),
+        t_start_frac=t_start_frac, t_end_frac=t_end_frac,
     )
 
 
 def _parse_faults(ctx: str, raw: object) -> FaultPlanSpec:
     data = _require_mapping(ctx, "faults", raw)
     _check_keys(ctx, "faults", data, ("rules", "default_rate"))
-    default_rate = float(_get(ctx, "faults", data, "default_rate",
-                              (int, float), default=1.0))
-    if not 0.0 <= default_rate <= 1.0:
-        _fail(ctx, f"faults.default_rate must be in [0, 1], "
-                   f"got {default_rate}")
+    default_rate = _check_range(ctx, "faults.default_rate", _get(
+        ctx, "faults", data, "default_rate", (int, float), default=1.0),
+        high=1.0, closed_low=True)
     rules_raw = _get(ctx, "faults", data, "rules", (list,))
     if not rules_raw:
         _fail(ctx, "faults.rules must name at least one rule")
@@ -380,17 +410,14 @@ def parse_scenario(data: dict, source: str = "") -> ScenarioSpec:
     if kind not in KINDS:
         _fail(ctx, f"kind must be one of {', '.join(KINDS)}; got {kind!r}")
     summary = _get(ctx, "", data, "summary", (str,))
-    duration_s = float(_get(ctx, "", data, "duration_s", (int, float),
-                            default=12.0))
-    if duration_s <= 0.0:
-        _fail(ctx, f"duration_s must be positive, got {duration_s}")
-    seed = _get(ctx, "", data, "seed", (int,), default=0xC4A05)
-    if seed < 0:
-        _fail(ctx, f"seed must be >= 0, got {seed}")
+    duration_s = _check_range(ctx, "duration_s", _get(
+        ctx, "", data, "duration_s", (int, float), default=12.0))
+    seed = _check_seed(ctx, "seed", _get(ctx, "", data, "seed", (int,),
+                                         default=0xC4A05))
     interval_s = _get(ctx, "", data, "interval_s", (int, float),
                       default=None)
-    if interval_s is not None and float(interval_s) <= 0.0:
-        _fail(ctx, f"interval_s must be positive, got {interval_s}")
+    if interval_s is not None:
+        interval_s = _check_range(ctx, "interval_s", interval_s)
 
     mechanisms_raw = _get(ctx, "", data, "mechanisms", (list,), default=[])
     for i, entry in enumerate(mechanisms_raw):
@@ -449,8 +476,7 @@ def parse_scenario(data: dict, source: str = "") -> ScenarioSpec:
 
     return ScenarioSpec(
         name=name, kind=kind, summary=summary, duration_s=duration_s,
-        seed=seed,
-        interval_s=None if interval_s is None else float(interval_s),
+        seed=seed, interval_s=interval_s,
         testbed=testbed, mechanisms=mechanisms, workload=workload,
         faults=faults, experiments=experiments, fleet=fleet, source=source,
     )

@@ -25,6 +25,7 @@ from repro.core import moneq
 from repro.core.moneq.backends import NvmlBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
+from repro.fleet.sweep import REALTIME_FLOOR
 from repro.runtime.launcher import Launcher
 from repro.runtime.ops import ANY_SOURCE, Compute, Recv, Send
 from repro.runtime.programs import run_mmps
@@ -398,9 +399,9 @@ SMOKE_FLOORS: dict[str, float] = {
     # one (ratio ~1x).
     "service": 1.5,
     # fleet's ratio is the sweep realtime factor (virtual s / wall s);
-    # ~1000x measured locally, 2x still means the federated sweep runs
-    # faster than the machines it models.
-    "fleet": 2.0,
+    # ~1000x measured locally; the floor is the sweep's own
+    # REALTIME_FLOOR (faster than the machines it models).
+    "fleet": REALTIME_FLOOR,
     # pack_overhead's ratio is engine-only/run_pack (<= ~1 by
     # definition): locally ~0.95+ (the manifest layer adds <5% to a
     # direct engine run); 0.80 still separates a thin dispatch from a

@@ -13,6 +13,7 @@ from repro.core.moneq import (
     initialize,
     profile_run,
 )
+from repro.core.moneq.backends import RAPL_MSR_SPEC, SYSMGMT_SPEC
 from repro.core.moneq.session import MoneqSession
 from repro.errors import (
     ConfigError,
@@ -55,7 +56,7 @@ class TestTwoLineUsage:
     def test_default_interval_is_hardware_minimum(self):
         node, _ = rapl_node(seed=1)
         session = initialize(node)
-        assert session.interval_s == RaplMsrBackend.MIN_INTERVAL_S
+        assert session.interval_s == RAPL_MSR_SPEC.min_interval_s
 
     def test_interval_below_hardware_floor_rejected(self):
         node, _ = rapl_node(seed=1)
@@ -147,7 +148,7 @@ class TestMultiDevice:
     def test_mixed_session_uses_slowest_minimum(self):
         node, _ = multi_device_node(seed=10)
         session = initialize(node)
-        assert session.interval_s == RaplMsrBackend.MIN_INTERVAL_S  # 60 ms governs
+        assert session.interval_s == RAPL_MSR_SPEC.min_interval_s  # 60 ms governs
 
     def test_duplicate_labels_rejected(self):
         node, _ = rapl_node(seed=11)
@@ -272,7 +273,7 @@ class TestPhiBackends:
 
     def test_sysmgmt_overhead_at_paper_interval(self):
         """14.2 ms per query at the 100 ms minimum interval ~ 14 %."""
-        backend_latency = PhiSysMgmtBackend.MIN_INTERVAL_S
+        backend_latency = SYSMGMT_SPEC.min_interval_s
         from repro.xeonphi.sysmgmt import SYSMGMT_QUERY_LATENCY_S
 
         assert SYSMGMT_QUERY_LATENCY_S / backend_latency == pytest.approx(

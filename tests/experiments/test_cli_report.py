@@ -3,8 +3,11 @@
 import pytest
 
 from repro.__main__ import main as cli_main
+from repro.exec import Engine
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.report import _f6, _t1, _t2
+
+#: One block per experiment kind: two tables and a figure.
+SAMPLE_IDS = ("table1", "table2", "fig6")
 
 
 class TestCli:
@@ -28,8 +31,8 @@ class TestCli:
 
 class TestReportBlocks:
     def test_table_blocks_have_paper_and_measured(self):
-        for factory in (_t1, _t2, _f6):
-            block = factory()
+        for exp_id in SAMPLE_IDS:
+            block = Engine(jobs=1, cache=False).run_one(exp_id)
             assert block.rows
             for quantity, paper, measured in block.rows:
                 assert quantity and paper and measured
@@ -37,8 +40,8 @@ class TestReportBlocks:
     def test_bench_paths_exist(self):
         import pathlib
 
-        for factory in (_t1, _t2, _f6):
-            bench = factory().bench
+        for exp_id in SAMPLE_IDS:
+            bench = Engine(jobs=1, cache=False).run_one(exp_id).bench
             assert pathlib.Path(bench).exists(), bench
 
 
@@ -51,3 +54,24 @@ class TestExperimentsMdUpToDate:
                         "Figure 1", "Figure 7", "Figure 8",
                         "Per-query collection overheads", "RAPL counter overflow"):
             assert section in text, f"missing section {section!r}"
+
+
+class TestArgvErrors:
+    """A rejected argument value is a one-line usage error (exit 2),
+    never a raw exception."""
+
+    @pytest.mark.parametrize("argv", [
+        ["store", "bench", "4", "4", "30"],
+        ["store", "bench", "0", "4", "240"],
+        ["report", "--jobs", "0"],
+        ["exec", "run", "table2", "--jobs", "0"],
+        ["service", "bench", "{tmp}/bench.json", "--racks", "0"],
+    ])
+    def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: ")
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "bench.json").exists()

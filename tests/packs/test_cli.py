@@ -104,3 +104,25 @@ def test_pack_run_invalid_manifest_names_the_field(tmp_path, capsys):
     assert cli_main(["pack", "run", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert "'durations'" in err and "unknown key" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--duration", "-1"),
+    ("--duration", "nan"),
+    ("--duration", "inf"),
+    ("--rate", "7"),
+    ("--rate", "nan"),
+    ("--seed", "-2"),
+])
+def test_pack_run_bad_override_exits_two_before_any_session(
+        flag, value, monkeypatch, capsys):
+    import repro.packs.runtime as runtime
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran despite a bad override")
+
+    monkeypatch.setattr(runtime, "execute_scenario", no_session)
+    assert cli_main(["pack", "run", "phi-micsmc", "--no-cache",
+                     flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"override: {flag} must be" in err

@@ -61,16 +61,22 @@ def test_paper_core_reproduces_experiments_md_blocks(tmp_path):
 
 def test_pack_run_matches_the_live_chaos_path():
     """The engine-dispatched payload must agree with the live
-    ``run_scenario`` path byte for byte — same timeline, same summary
-    line (both execute ``repro.packs.runtime.execute_scenario``)."""
+    ``run_scenario`` path byte for byte — same timeline, same plan
+    stats, same tick grid (both execute
+    ``repro.packs.runtime.execute_scenario``)."""
+    from dataclasses import asdict
+
     from repro.chaos import run_scenario
-    from repro.packs.shims import summary_line
 
     result = run_pack("bmc_dark", jobs=1, cache=False)
     payload = result.payloads[result.exp_id]
     live = run_scenario("bmc_dark")
     assert payload["timeline"] == live.timeline_lines()
-    assert summary_line(payload) == live.summary_line()
+    live_stats = asdict(live.plan.stats)
+    live_stats.pop("faults_by_key")
+    assert payload["stats"] == live_stats
+    assert (payload["interval_s"], payload["ticks"]) == (
+        live.interval_s, live.ticks)
     assert payload["outputs"] == [[path, live.outputs[path]]
                                   for path in sorted(live.outputs)]
 

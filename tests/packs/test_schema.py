@@ -194,6 +194,29 @@ def test_shape_rules_name_the_out_of_place_section(raw, needle):
     assert needle in rejects(raw)
 
 
+#: field -> a manifest carrying ``v`` in that field (the five
+#: positive/non-negative number fields outside [0, 1]).
+NUMBER_FIELDS = {
+    "duration_s": lambda v: base_manifest(duration_s=v),
+    "interval_s": lambda v: base_manifest(interval_s=v),
+    "testbed.power_cap_w": lambda v: base_manifest(
+        testbed={"kind": "gpu", "power_cap_w": v}, mechanisms=["nvml"]),
+    "workload.start_s": lambda v: base_manifest(workload={
+        "name": "w", "start_s": v,
+        "phases": [{"name": "p", "duration_s": 1.0}]}),
+    "workload.phases[0].duration_s": lambda v: base_manifest(workload={
+        "name": "w", "phases": [{"name": "p", "duration_s": v}]}),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+def test_non_finite_numbers_are_rejected_by_field(field, value):
+    message = rejects(NUMBER_FIELDS[field](value))
+    assert f"{field} must be" in message
+    assert "finite" in message
+
+
 def test_fault_rule_mechanism_checked_against_registry():
     raw = base_manifest(
         kind="chaos",

@@ -1,8 +1,8 @@
-"""Tier-1 contract tests of the versioned ``repro.api`` v2 surface.
+"""Tier-1 contract tests of the versioned ``repro.api`` v3 surface.
 
 The contract cuts both ways: every supported name resolves from its
-namespace, and every legacy v1 flat name still resolves — with exactly
-one :class:`DeprecationWarning` — through the ``repro._compat`` shim.
+namespace, and none of them resolves flat from ``repro.api`` — the v1
+flat aliases were removed in v3.
 """
 
 import importlib
@@ -10,12 +10,10 @@ import pathlib
 import shutil
 import subprocess
 import types
-import warnings
 
 import pytest
 
 import repro.api as api
-from repro._compat import reset_deprecation_warnings
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 API_DOC = REPO_ROOT / "docs" / "api.md"
@@ -25,8 +23,8 @@ NAMESPACE_NAMES = ("session", "mech", "data", "chaos", "exec",
 
 
 @pytest.mark.tier1
-def test_api_version_is_2():
-    assert api.API_VERSION == "2"
+def test_api_version_is_3():
+    assert api.API_VERSION == "3"
     assert api.__version__.count(".") == 2
 
 
@@ -68,45 +66,17 @@ def test_no_name_exported_by_two_namespaces():
 
 
 @pytest.mark.tier1
-def test_every_flat_alias_warns_exactly_once():
-    for name, ns_name in sorted(api._FLAT_ALIASES.items()):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = getattr(api, name)
-            second = getattr(api, name)
-        assert first is second is getattr(api.NAMESPACES[ns_name], name)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, (
-            f"repro.api.{name}: {len(deprecations)} warnings, wanted 1")
-        message = str(deprecations[0].message)
-        assert f"repro.api.{ns_name}.{name}" in message
-
-
-@pytest.mark.tier1
-def test_every_v1_name_still_resolves_flat():
-    """The v1 surface, name for name — nothing was dropped in v2."""
-    v1_names = [
-        "initialize", "finalize", "profile_run", "backends_for_node",
-        "Backend", "MoneqConfig", "MoneqSession", "MoneqResult",
-        "Mechanism", "MechanismSpec", "AccessChannel", "FreshnessModel",
-        "CapabilityDecl", "SensorSource", "mechanisms",
-        "EnvironmentalDatabase", "EnvRecord", "ShardedStore", "ShardMap",
-        "WriteBatcher", "Reading", "Aggregate", "QueryPlan", "FlushReport",
-        "series_from_readings", "store_series",
-        "FaultPlan", "FaultRule", "RetryPolicy", "CircuitBreaker",
-        "DARK_READING", "SCENARIOS", "run_scenario",
-        "Engine", "EngineStats", "ExperimentSpec", "ExperimentReport",
-        "ResultCache", "CacheStats",
-        "ReproError", "ConfigError", "DeviceError", "SensorError",
-        "MoneqError", "MoneqStateError", "MoneqBufferFullError",
-        "ExperimentExecutionError", "ChaosError",
-    ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for name in v1_names:
-            assert getattr(api, name) is not None, f"v1 lost {name}"
+def test_v1_flat_names_are_gone():
+    """Every name a namespace exports resolved flat under API v1/v2;
+    in v3 each lives only in its namespace."""
+    flat = {name for module in api.NAMESPACES.values()
+            for name in module.__all__}
+    assert api.API_VERSION == "3"
+    assert len(flat) > 100
+    for name in sorted(flat):
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
+    assert not flat & set(dir(api))
 
 
 @pytest.mark.tier1
@@ -134,7 +104,7 @@ def test_policy_documented():
     assert "Compatibility policy" in api.__doc__
     text = API_DOC.read_text(encoding="utf-8")
     assert "Compatibility policy" in text
-    assert "DeprecationWarning" in text, "migration table must note the shim"
+    assert "Removed in v3" in text, "api.md must map removed flat names"
 
 
 @pytest.mark.skipif(shutil.which("ruff") is None,

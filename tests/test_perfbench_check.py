@@ -75,3 +75,23 @@ def test_committed_trajectory_matches_current_suite():
         "BENCH_moneq.json"
     committed = json.loads(bench_file.read_text(encoding="utf-8"))
     assert set(committed) == set(perfbench.ALL_BENCHES)
+
+
+def test_smoke_check_gates_the_fleet_realtime_floor(monkeypatch):
+    """The smoke check carries the fleet sweep's realtime floor (the one
+    in repro.fleet.sweep): a sweep below it fails the check."""
+    from repro.fleet.sweep import REALTIME_FLOOR
+
+    assert perfbench.SMOKE_FLOORS["fleet"] == REALTIME_FLOOR
+    speeds = {name: 2.0 * floor
+              for name, floor in perfbench.SMOKE_FLOORS.items()}
+    speeds["fleet"] = REALTIME_FLOOR / 4
+    monkeypatch.setattr(perfbench, "SMOKE_BENCHES", {
+        name: (lambda s=s: {"wall_s": 0.001, "speedup_vs_scalar": s})
+        for name, s in speeds.items()
+    })
+    failures, _ = perfbench.check("unused.json", smoke=True)
+    floor_failures = [f for f in failures if f.endswith("x floor")]
+    assert floor_failures == [
+        f"fleet: smoke speedup {REALTIME_FLOOR / 4:.3f}x below the "
+        f"{REALTIME_FLOOR:.1f}x floor"]
