@@ -36,12 +36,32 @@ GOLDENS = [
 @pytest.mark.parametrize(
     "name, seed, duration_s, rate, golden", GOLDENS,
     ids=[f"{name}-seed{seed}-{duration_s:g}s"
-         + ("" if rate is None else f"-rate{rate:g}")
+         + ("" if rate is None else f"-r{rate:g}")
          for name, seed, duration_s, rate, _ in GOLDENS])
 def test_summary_lines_are_byte_identical(name, seed, duration_s, rate,
                                           golden):
     result = run_scenario(name, seed=seed, duration_s=duration_s, rate=rate)
     assert result.summary_line() == golden
+
+
+def test_summary_line_is_stable_across_runs():
+    """Two runs of one (scenario, seed) render the same bytes, and the
+    line carries every field of the summary."""
+    first = run_scenario("bus_noise", seed=7).summary_line()
+    assert first.startswith(
+        "[repro chaos run] scenario=bus_noise seed=7 interval_s=0.560 ")
+    for field in ("ticks=", "faults=", "recovered=", "dark=", "retries=",
+                  "backoff_s=", "breaker_opens=", "stale="):
+        assert field in first
+    assert run_scenario("bus_noise", seed=7).summary_line() == first
+
+
+def test_duration_and_rate_overrides_reach_the_summary():
+    line = run_scenario("bus_noise", seed=3, duration_s=3.0,
+                        rate=0.5).summary_line()
+    assert "scenario=bus_noise seed=3" in line
+    # A shorter session samples fewer ticks than the default duration.
+    assert "ticks=21 " not in line
 
 
 def test_bus_noise_seed_7_metric_families():
