@@ -3,25 +3,22 @@
 The cold pass runs all 13 experiments (15 tasks) through the pool; the
 warm pass must serve the same bytes from the content-addressed cache at
 a >= 10x speedup over cold-serial.  Parallel speedup is *not* asserted:
-it is bounded by the host's core count (this baseline container has
-one), and `BENCH_exec.json` records `cpus` next to the walls for that
-reason.
+it is bounded by the host's core count, and the ``exec`` entry of
+`BENCH_perf.json` records `cpus` next to the walls for that reason.
 """
 
-from repro.exec import bench as exec_bench
 from repro.experiments import report
+from repro.perfbench import bench_exec
 
 
 def test_engine_warm_cache_speedup(benchmark):
     """Cold serial vs warm cache on the full report: the cache must buy
     >= 10x, with byte-identical markdown across every run."""
-    results = benchmark.pedantic(
-        lambda: exec_bench.run(json_path=None), rounds=1, iterations=1)
+    results = benchmark.pedantic(bench_exec, rounds=1, iterations=1)
     assert results["byte_identical"], (
         "engine produced different report bytes across runs")
-    warm = results["runs"]["warm_cache"]
-    assert warm["speedup_vs_cold_serial"] >= 10.0, (
-        f"warm cache only {warm['speedup_vs_cold_serial']:.1f}x over "
+    assert results["speedup_vs_scalar"] >= 10.0, (
+        f"warm cache only {results['speedup_vs_scalar']:.1f}x over "
         f"cold serial")
     assert results["tasks"] == 15
 

@@ -1,27 +1,22 @@
 """Benchmarks of the federated fleet sweep and the channel cache.
 
 The smoke-sized sweep and ablation run live here (2 sites x 4 racks,
-200 ticks); the committed 10x-Mira figures live in ``BENCH_fleet.json``
-and are validated against the same floors — the sweep must simulate
-faster than realtime and the freshness cache must cut access-channel
-crossings >= 5x on the shared-device consumer pattern, byte-identically.
+200 ticks); the committed 10x-Mira figures live in the ``fleet`` entry
+of ``BENCH_perf.json`` and are validated against the same floors by
+``tests/test_perfbench_check.py`` — the sweep must simulate faster than
+realtime and the freshness cache must cut access-channel crossings
+>= 5x on the shared-device consumer pattern, byte-identically.
 """
-
-import json
-import pathlib
 
 from repro.fleet import fleet_bench
 from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, REALTIME_FLOOR
-
-COMMITTED = pathlib.Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def test_fleet_sweep_smoke_floors(benchmark, report):
     """2-site smoke sweep + ablation: realtime floor, >= 5x crossings
     reduction, byte-identical cache-on/off outputs."""
-    results = benchmark.pedantic(
-        lambda: fleet_bench(json_path=None, smoke=True),
-        rounds=1, iterations=1)
+    results = benchmark.pedantic(lambda: fleet_bench(smoke=True),
+                                 rounds=1, iterations=1)
     sweep = results["fleet_sweep"]
     ablation = results["cache_ablation"]
     assert sweep["speedup_vs_scalar"] >= REALTIME_FLOOR, (
@@ -39,16 +34,3 @@ def test_fleet_sweep_smoke_floors(benchmark, report):
         ("cache visible in bytes", "never",
          "no" if ablation["byte_identical"] else "YES"),
     ])
-
-
-def test_committed_fleet_figures_hold_floors():
-    """The committed 10x-Mira BENCH_fleet.json must itself satisfy the
-    floors the CLI gates on — stale figures fail here, not in review."""
-    figures = json.loads(COMMITTED.read_text())
-    sweep = figures["fleet_sweep"]
-    ablation = figures["cache_ablation"]
-    assert sweep["sites"] == 10 and sweep["racks"] == 48
-    assert sweep["records"] > 0 and sweep["dropped"] == 0
-    assert sweep["speedup_vs_scalar"] >= REALTIME_FLOOR
-    assert ablation["crossings_reduction"] >= CACHE_REDUCTION_FLOOR
-    assert ablation["byte_identical"] is True

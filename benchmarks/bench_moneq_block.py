@@ -6,7 +6,7 @@ the 1024-agent, 10k-tick configuration from the issue and holds the
 line at 10x over the scalar tick loop (measured on a slice and
 extrapolated — the full scalar run is ~10M Python-level reads, which is
 exactly the cost being removed).  `python -m repro bench perf` runs the
-same measurements outside pytest and records them in BENCH_moneq.json.
+same measurements outside pytest and records them in BENCH_perf.json.
 """
 
 from repro.perfbench import bench_moneq_block, bench_moneq_full_session

@@ -13,35 +13,21 @@
                                         # run experiments through the engine
     python -m repro exec cache stats    # result-cache size and contents
     python -m repro exec cache clear    # drop every cached result
-    python -m repro exec bench [json_path]
-                                        # engine cold/warm benches ->
-                                        # BENCH_exec.json
     python -m repro obs dump [target..] # run exercises, dump metrics+spans
-    python -m repro store bench [racks [shards [interval_s]]]
-                                        # exercise the sharded envdb store
     python -m repro bench perf [json_path] [--check] [--smoke]
-                                        # wall-clock hot-path benches ->
-                                        # BENCH_moneq.json perf baseline
-                                        # (--check: compare against the
-                                        # committed file, exit 1 on
-                                        # regression, write nothing;
-                                        # --smoke alone: measure the
-                                        # reduced profile 3x and write
-                                        # BENCH_smoke.json medians+spread;
-                                        # --check --smoke: one reduced
-                                        # run vs absolute floors AND
-                                        # relative floors from the
-                                        # committed BENCH_smoke.json,
-                                        # writes nothing)
+                                        # the wall-clock benches: write
+                                        # BENCH_perf.json (full profile,
+                                        # one run) or, with --smoke,
+                                        # BENCH_smoke.json (CI profile,
+                                        # medians+spread of 3 runs);
+                                        # --check: re-measure against
+                                        # the committed file, exit 1 on
+                                        # regression, write nothing
     python -m repro serve [--host H] [--port P] [--racks N]
                           [--shards N] [--sweeps N]
                                         # stand up a populated simulated
                                         # machine and serve the live
                                         # monitoring query service on it
-    python -m repro service bench [json_path] [--racks N] [--shards N]
-                                        [--requests N] [--sweeps N]
-                                        # sustained mixed query load ->
-                                        # BENCH_service.json
     python -m repro service smoke       # boot in-process: /ready, one
                                         # planned query, one 403 — the
                                         # CI gate, exit 1 on any miss
@@ -104,81 +90,12 @@ def _obs_command(args: list[str]) -> int:
     return 0
 
 
-def _store_command(args: list[str]) -> int:
-    """``repro store bench [racks [shards [interval_s]]]`` — stand up a
-    sharded envdb, run polling sweeps, exercise every query kind, and
-    print the paper-vs-store numbers plus the ``repro_store_*`` metric
-    families from the existing exporter."""
-    import time
-
-    import repro.obs as obs
-    from repro.analysis.tables import format_aggregates, format_table
-    from repro.bgq.machine import BgqMachine
-    from repro.sim.rng import RngRegistry
-
-    if not args or args[0] != "bench":
-        print("usage: python -m repro store bench [racks [shards [interval_s]]]",
-              file=sys.stderr)
-        return 2
-    try:
-        racks = int(args[1]) if len(args) > 1 else 4
-        shards = int(args[2]) if len(args) > 2 else 4
-        interval_s = float(args[3]) if len(args) > 3 else 240.0
-    except ValueError:
-        print("store bench arguments must be numeric: "
-              "[racks [shards [interval_s]]]", file=sys.stderr)
-        return 2
-
-    sweeps = 6
-    machine = BgqMachine(racks=racks, rng=RngRegistry(0x5708E),
-                         poll_interval_s=interval_s, envdb_shards=shards)
-    machine.advance_to(interval_s * sweeps)
-    envdb = machine.envdb
-    store = envdb.store
-    window = interval_s * sweeps
-
-    repeats = 20
-    t_start = time.perf_counter()
-    for _ in range(repeats):
-        aggs = envdb.aggregate("bpm", "input_power_w", 0.0, window,
-                               window, "R00")
-    cached_s = (time.perf_counter() - t_start) / repeats
-    rows = store.range("bpm", 0.0, window, "R00-M0-N00")
-    latest = store.latest("bpm", "R00")
-
-    print(format_table(
-        ("metric", "value"),
-        [
-            ("racks / shards", f"{racks} / {store.n_shards}"),
-            ("poll interval", f"{interval_s:.0f} s x {sweeps} sweeps"),
-            ("records ingested", str(store.records_ingested)),
-            ("records dropped", str(store.dropped_records)),
-            ("batches flushed", str(store.batches_flushed)),
-            ("hottest-shard load", f"{envdb.capacity_fraction():.2f}x"),
-            ("range rows (one board)", str(len(rows))),
-            ("latest locations (R00)", str(len(latest))),
-            ("aggregate query (cached)", f"{cached_s * 1e3:.3f} ms"),
-        ],
-        title=f"[repro store bench] sharded envdb, plan="
-              f"{store.plan('aggregate', 'bpm', 'R00-M0').fan_out} shard(s)",
-    ))
-    print()
-    print(format_aggregates(aggs[:8], title="[aggregates] R00, first rows"))
-    print()
-    store_lines = [line for line in obs.dump().splitlines()
-                   if "repro_store" in line]
-    print("\n".join(store_lines))
-    return 0
-
-
 def _bench_command(args: list[str]) -> int:
-    """``repro bench perf [json_path] [--check] [--smoke]`` — run the
-    hot-path wall-clock benches (block-sampling engine, heap scheduler,
-    full session).  Without flags, write the full-profile trajectory
-    file future PRs regress against; ``--smoke`` alone measures the
-    reduced profile three times and writes the smoke trajectory
-    (medians plus runner-variance spread); ``--check`` compares fresh
-    speedups to the committed file(s) and exits 1 on regression
+    """``repro bench perf [json_path] [--check] [--smoke]`` — the one
+    wall-clock bench driver.  Without ``--check``, measure the full
+    profile once (or, with ``--smoke``, the reduced profile three
+    times) and write its trajectory file; ``--check`` re-measures the
+    profile against the committed file and exits 1 on regression
     without rewriting anything."""
     from repro import perfbench
     from repro.analysis.tables import format_table
@@ -187,23 +104,30 @@ def _bench_command(args: list[str]) -> int:
         print("usage: python -m repro bench perf [json_path] "
               "[--check] [--smoke]", file=sys.stderr)
         return 2
-    checking = "--check" in args
-    smoke = "--smoke" in args
-    positional = [a for a in args[1:] if a not in ("--check", "--smoke")]
+    flags = [a for a in args[1:] if a.startswith("--")]
+    positional = [a for a in args[1:] if not a.startswith("--")]
+    unknown = [f for f in flags if f not in ("--check", "--smoke")]
+    if unknown or len(positional) > 1:
+        print(f"bench: unexpected argument(s) {unknown + positional[1:]}",
+              file=sys.stderr)
+        return 2
+    checking = "--check" in flags
+    profile = "smoke" if "--smoke" in flags else "full"
+    json_path = (positional[0] if positional
+                 else perfbench.TRAJECTORY_PATHS[profile])
 
-    if checking:
-        json_path = positional[0] if positional else "BENCH_moneq.json"
-        failures, results = perfbench.check(json_path, smoke=smoke)
-    elif smoke:
-        # Smoke sizes never touch the full-profile trajectory file —
-        # they get their own, medians over repetitions plus spread.
-        json_path = (positional[0] if positional
-                     else perfbench.SMOKE_TRAJECTORY_PATH)
-        _, results = perfbench.run_smoke_trajectory(json_path)
-        failures = []
-    else:
-        json_path = positional[0] if positional else "BENCH_moneq.json"
-        failures, results = [], perfbench.run(json_path)
+    try:
+        if checking:
+            failures, results = perfbench.check(profile, json_path)
+            title = f"[repro bench perf] {profile} profile vs {json_path}"
+        else:
+            trajectory, results = perfbench.record(profile, json_path)
+            failures = []
+            title = (f"[repro bench perf] {profile} profile "
+                     f"x{trajectory['reps']} -> wrote {json_path}")
+    except AssertionError as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     rows = []
     for name, r in results.items():
         detail = ", ".join(
@@ -213,26 +137,12 @@ def _bench_command(args: list[str]) -> int:
         )
         rows.append((name, f"{r['wall_s'] * 1e3:.1f} ms",
                      f"{r['speedup_vs_scalar']:.1f}x", detail))
-    if checking and smoke:
-        title = ("[repro bench perf] smoke profile vs absolute + "
-                 "relative floors")
-    elif checking:
-        title = f"[repro bench perf] checked against {json_path}"
-    elif smoke:
-        title = f"[repro bench perf] smoke x3 -> wrote {json_path}"
-    else:
-        title = f"[repro bench perf] wrote {json_path}"
-    print(format_table(("bench", "wall", "vs scalar", "detail"), rows,
-                       title=title))
-    if not results["moneq_block"]["byte_identical"]:
-        print("FAIL: block-sampled output diverged from scalar",
-              file=sys.stderr)
-        return 1
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    if rows:
+        print(format_table(("bench", "wall", "vs scalar", "detail"), rows,
+                           title=title))
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _int_flags(args: list[str], flags: dict[str, object]
@@ -282,74 +192,43 @@ def _serve_command(args: list[str]) -> int:
 
 
 def _service_command(args: list[str]) -> int:
-    """``repro service bench|smoke`` — the load generator (writes
-    ``BENCH_service.json``) or the boot-and-probe CI gate."""
-    from repro.analysis.tables import format_table
-
-    usage = ("usage: python -m repro service bench [json_path] [--racks N] "
-             "[--shards N] [--requests N] [--sweeps N]\n"
-             "       python -m repro service smoke")
-    if not args:
-        print(usage, file=sys.stderr)
+    """``repro service smoke`` — the boot-and-probe CI gate."""
+    if args != ["smoke"]:
+        print("usage: python -m repro service smoke", file=sys.stderr)
         return 2
 
-    if args[0] == "bench":
-        from repro.service import write_bench
+    from repro.service import ServiceApp, ServiceClient, build_rig
+    from repro.testbeds import fleet_node
 
-        try:
-            flags, positional = _int_flags(args[1:], {
-                "racks": 64, "shards": 64, "requests": 400, "sweeps": 16,
-            })
-        except ValueError as exc:
-            print(f"service bench: {exc}", file=sys.stderr)
-            return 2
-        json_path = positional[0] if positional else "BENCH_service.json"
-        result = write_bench(json_path, racks=flags["racks"],
-                             shards=flags["shards"],
-                             requests=flags["requests"],
-                             sweeps=flags["sweeps"])
-        rows = [(key, f"{value:g}" if isinstance(value, float) else str(value))
-                for key, value in result.items()]
-        print(format_table(("metric", "value"), rows,
-                           title=f"[repro service bench] wrote {json_path}"))
-        return 0
-
-    if args[0] == "smoke":
-        from repro.service import ServiceApp, ServiceClient, build_rig
-        from repro.testbeds import fleet_node
-
-        machine, app, client = build_rig(racks=4, shards=4, sweeps=2)
-        _, backends = fleet_node(seed=0x510, hostname="smoke-host",
-                                 grant_msr_access=False)
-        gated = ServiceClient(ServiceApp(machine.envdb.store,
-                                         backends=backends))
-        checks = []
-        ready = client.get("/ready")
-        checks.append(("/ready is 200", ready.status == 200))
-        query = client.get("/v2/query/latest", {"table": "bpm"})
-        payload = query.json() if query.status == 200 else {}
-        checks.append(("planned query serves rows",
-                       query.status == 200 and payload.get("count", 0) > 0
-                       and payload.get("plan", {}).get("fan_out", 0) >= 1))
-        denied = gated.get("/v2/mech/rapl_msr/read", {"t": 10.0})
-        origin = (denied.json().get("error", {}).get("origin", "")
-                  if denied.status == 403 else "")
-        checks.append(("unprivileged msr read is a structured 403",
-                       denied.status == 403
-                       and origin == "repro.host.permissions"))
-        stream = client.get("/v2/stream/tail", {
-            "table": "bpm", "cursor": 0, "batches": 1})
-        lines = list(stream.lines())
-        checks.append(("streaming tail opens and ends",
-                       stream.status == 200
-                       and lines[0].get("marker") == "open"
-                       and lines[-1].get("marker") == "end"))
-        for label, ok in checks:
-            print(f"{'ok' if ok else 'FAIL'} - {label}")
-        return 0 if all(ok for _, ok in checks) else 1
-
-    print(usage, file=sys.stderr)
-    return 2
+    machine, app, client = build_rig(racks=4, shards=4, sweeps=2)
+    _, backends = fleet_node(seed=0x510, hostname="smoke-host",
+                             grant_msr_access=False)
+    gated = ServiceClient(ServiceApp(machine.envdb.store,
+                                     backends=backends))
+    checks = []
+    ready = client.get("/ready")
+    checks.append(("/ready is 200", ready.status == 200))
+    query = client.get("/v2/query/latest", {"table": "bpm"})
+    payload = query.json() if query.status == 200 else {}
+    checks.append(("planned query serves rows",
+                   query.status == 200 and payload.get("count", 0) > 0
+                   and payload.get("plan", {}).get("fan_out", 0) >= 1))
+    denied = gated.get("/v2/mech/rapl_msr/read", {"t": 10.0})
+    origin = (denied.json().get("error", {}).get("origin", "")
+              if denied.status == 403 else "")
+    checks.append(("unprivileged msr read is a structured 403",
+                   denied.status == 403
+                   and origin == "repro.host.permissions"))
+    stream = client.get("/v2/stream/tail", {
+        "table": "bpm", "cursor": 0, "batches": 1})
+    lines = list(stream.lines())
+    checks.append(("streaming tail opens and ends",
+                   stream.status == 200
+                   and lines[0].get("marker") == "open"
+                   and lines[-1].get("marker") == "end"))
+    for label, ok in checks:
+        print(f"{'ok' if ok else 'FAIL'} - {label}")
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def _mech_command(args: list[str]) -> int:
@@ -494,6 +373,11 @@ def _pack_command(args: list[str]) -> int:
         except ValueError as exc:
             print(f"pack run: {exc}", file=sys.stderr)
             return 2
+        if jobs < 1:
+            # A usage error, as for ``exec run --jobs 0`` — not the run
+            # failure (exit 1) the engine would report it as.
+            print(f"pack: jobs must be >= 1, got {jobs}", file=sys.stderr)
+            return 2
         if smoke:
             if names:
                 print("pack run: --smoke runs the fixed CI pair; "
@@ -576,17 +460,15 @@ def _report_flags(args: list[str]) -> tuple[int, bool, str | None, list[str]]:
 
 
 def _exec_command(args: list[str]) -> int:
-    """``repro exec run|cache|bench`` — drive the experiment engine
-    directly: run named experiments through the pool and cache, inspect
-    or clear the content-addressed result cache, or time the engine's
-    cold/warm paths into ``BENCH_exec.json``."""
+    """``repro exec run|cache`` — drive the experiment engine directly:
+    run named experiments through the pool and cache, or inspect or
+    clear the content-addressed result cache."""
     from repro.analysis.tables import format_table
     from repro.errors import ExperimentExecutionError
     from repro.exec import Engine, ResultCache
 
     usage = ("usage: python -m repro exec run <id...> [--jobs N] [--no-cache]\n"
-             "       python -m repro exec cache stats|clear\n"
-             "       python -m repro exec bench [json_path]")
+             "       python -m repro exec cache stats|clear")
     if not args:
         print(usage, file=sys.stderr)
         return 2
@@ -636,21 +518,6 @@ def _exec_command(args: list[str]) -> int:
               file=sys.stderr)
         return 2
 
-    if args[0] == "bench":
-        from repro.exec import bench as exec_bench
-        json_path = args[1] if len(args) > 1 else "BENCH_exec.json"
-        results = exec_bench.run(json_path)
-        rows = [(name, f"{r['wall_s'] * 1e3:.1f} ms",
-                 ", ".join(f"{k}={v:g}" if isinstance(v, (int, float))
-                           else f"{k}={v}"
-                           for k, v in r.items() if k != "wall_s"))
-                for name, r in results["runs"].items()]
-        rows.append(("byte_identical", str(results["byte_identical"]), ""))
-        rows.append(("cpus", str(results["cpus"]), ""))
-        print(format_table(("run", "wall", "detail"), rows,
-                           title=f"[repro exec bench] wrote {json_path}"))
-        return 0 if results["byte_identical"] else 1
-
     print(usage, file=sys.stderr)
     return 2
 
@@ -663,8 +530,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except ReproError as exc:
-        # A rejected argument value (racks 0, --jobs 0, an interval
-        # outside the envdb range, ...) is a usage error, not a crash.
+        # A rejected argument value (racks 0, --jobs 0, ...) is a
+        # usage error, not a crash.
         print(f"{args[0]}: {exc}", file=sys.stderr)
         return 2
 
@@ -677,8 +544,6 @@ def _dispatch(args: list[str]) -> int:
         return 0
     if command == "obs":
         return _obs_command(args[1:])
-    if command == "store":
-        return _store_command(args[1:])
     if command == "bench":
         return _bench_command(args[1:])
     if command == "serve":

@@ -3,7 +3,8 @@
 The fleet topology (named Mira-class sites over one federation), the
 federated store that scatter-gathers queries across the sites' sharded
 stores by the ``site/location`` prefix convention, the timed
-fleet-wide sweep behind ``BENCH_fleet.json``, and the service
+fleet-wide sweep behind the ``fleet`` entries of ``repro bench perf``,
+and the service
 constructor that puts a fleet behind ``/v2/query/aggregate``.
 """
 

@@ -1,7 +1,8 @@
 """``repro.api.service`` — the live monitoring query service.
 
 The WSGI app and its in-process client, tenancy, the structured error
-envelope classes, and the load generator behind ``BENCH_service.json``.
+envelope classes, and the load generator behind the ``service`` entries
+of ``repro bench perf``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.service import (
     default_tenants,
     serve,
     service_for_machine,
-    write_bench,
 )
 
 __all__ = [
@@ -45,5 +45,4 @@ __all__ = [
     "default_tenants",
     "serve",
     "service_for_machine",
-    "write_bench",
 ]

@@ -12,11 +12,12 @@ scales the reproduction out:
   before a sweep;
 * :mod:`repro.fleet.sweep` — :func:`fleet_sweep` (the timed
   fleet-wide sweep with cross-site rollup aggregation) and
-  :func:`fleet_bench`, which writes ``BENCH_fleet.json`` including the
-  channel-cache crossings ablation.
+  :func:`fleet_bench`, the sweep plus the channel-cache crossings
+  ablation.
 
 ``python -m repro pack run fleet-sweep`` drives the smoke sweep from
-the CLI; ``fleet_bench()`` regenerates ``BENCH_fleet.json``.
+the CLI; ``python -m repro bench perf`` records the full-size
+:func:`fleet_bench` in ``BENCH_perf.json``.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ then fold the sites' partial aggregates into a fleet-wide rollup — the
 scatter-gather plan that keeps the paper's single-server ceiling *per
 site* while the center only ever sees O(windows) partials.
 
-:func:`fleet_bench` writes ``BENCH_fleet.json``: the 10×-Mira 60 s
-sweep with its wall-time figures, plus :func:`cache_ablation` — the
+:func:`fleet_bench` is the fleet benchmark (the ``fleet`` entry of
+``repro bench perf``): the 10×-Mira 60 s sweep with its wall-time
+figures, plus :func:`cache_ablation` — the
 channel cache's crossings-saved measurement (K consumers sharing one
 device at the paper-default poll rate, cache-on vs cache-off
 byte-compared).
@@ -15,7 +16,6 @@ byte-compared).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
@@ -184,14 +184,12 @@ def cache_ablation(consumers: int = 8, ticks: int = 400,
     }
 
 
-def fleet_bench(json_path: str | None = "BENCH_fleet.json",
-                smoke: bool = False) -> dict:
-    """The committed fleet benchmark: the 10×-Mira 60 s sweep plus the
+def fleet_bench(smoke: bool = False) -> dict:
+    """The fleet benchmark: the 10×-Mira 60 s sweep plus the
     channel-cache crossings ablation.
 
     ``smoke=True`` shrinks the fleet (2 sites × 4 racks) for CI
-    runners; smoke runs never overwrite the committed figures unless
-    explicitly pointed at a path.
+    runners.
     """
     if smoke:
         report = fleet_sweep(n_sites=2, racks=4, duration_s=60.0)
@@ -220,8 +218,4 @@ def fleet_bench(json_path: str | None = "BENCH_fleet.json",
             "byte_identical": ablation["byte_identical"],
         },
     }
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return results

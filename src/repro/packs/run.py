@@ -30,7 +30,11 @@ from pathlib import Path
 from repro.exec.spec import ExperimentReport, ExperimentSpec, canonical_config
 from repro.packs.manifest import SUFFIXES, load_manifest, scenario_from_mapping
 from repro.packs.runtime import PackRunConfig
-from repro.packs.schema import ScenarioSpec, check_overrides
+from repro.packs.schema import (
+    ScenarioSpec,
+    check_overrides,
+    check_session_length,
+)
 
 #: Source modules whose text fingerprints every pack result — broad on
 #: purpose: a pack run crosses the session core, the mechanism layer,
@@ -84,7 +88,8 @@ def compile_spec(raw: dict, seed: int | None = None,
     packs have no wrapper spec and are rejected here — run them
     through :func:`run_pack`, which dispatches the paper specs.  A
     non-``None`` ``seed`` / ``duration_s`` / ``rate`` override passes
-    the manifest's own range checks before anything runs.
+    the manifest's own range checks before anything runs, and a
+    session's duration must fit the MonEQ record buffer.
     """
     from repro.errors import PackError
     from repro.exec.registry import register_spec
@@ -96,6 +101,7 @@ def compile_spec(raw: dict, seed: int | None = None,
             f"registered paper specs directly and do not compile")
     check_overrides(scenario.name, seed=seed, duration_s=duration_s,
                     rate=rate)
+    check_session_length(scenario, duration_s)
     config = PackRunConfig(
         manifest=json.dumps(raw, sort_keys=True, separators=(",", ":")),
         seed=scenario.seed if seed is None else seed,

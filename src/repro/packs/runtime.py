@@ -304,7 +304,7 @@ def run_part(part: str, config: PackRunConfig) -> dict:
     if spec.kind == "fleet":
         from repro.fleet import fleet_bench
 
-        results = fleet_bench(json_path=None, smoke=spec.fleet.smoke)
+        results = fleet_bench(smoke=spec.fleet.smoke)
         return {"kind": "fleet", "pack": spec.name,
                 "summary": spec.summary, **results}
     run = execute_scenario(spec, seed=config.seed,

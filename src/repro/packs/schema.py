@@ -228,6 +228,35 @@ def check_overrides(name: str, seed=None, duration_s=None,
         _check_range(ctx, "--rate", rate, high=1.0, closed_low=True)
 
 
+def check_session_length(spec: ScenarioSpec,
+                         duration_s: float | None = None) -> None:
+    """A session/chaos run must fit MonEQ's record buffer: the run's
+    tick count — the duration over the interval the session will use
+    (``interval_s``, else the slowest selected mechanism's minimum) —
+    may not exceed :attr:`MoneqConfig.buffer_slots`.  Without this a
+    huge but finite duration runs until the buffer fills and only then
+    fails.  ``duration_s=None`` checks the manifest's own duration;
+    a value checks the ``--duration`` override."""
+    from repro.core.moneq.config import MoneqConfig
+
+    if spec.kind not in ("session", "chaos"):
+        return
+    if duration_s is None:
+        ctx, where, duration_s = repr(spec.name), "duration_s", spec.duration_s
+    else:
+        ctx, where = f"{spec.name!r} override", "--duration"
+    interval_s = spec.interval_s
+    if interval_s is None:
+        registry = _registered_mechanisms()
+        names = spec.mechanisms or _offered(spec.testbed, registry)
+        interval_s = max(registry[name].min_interval_s for name in names)
+    ticks = math.floor(duration_s / interval_s)
+    if ticks > MoneqConfig.buffer_slots:
+        _fail(ctx, f"{where} {duration_s:g} s is {ticks} ticks at the "
+                   f"{interval_s:g} s polling interval, over the "
+                   f"{MoneqConfig.buffer_slots}-record MonEQ buffer")
+
+
 def _kind_names(kinds) -> str:
     names = {str: "a string", bool: "a boolean", list: "a list",
              dict: "a table"}
@@ -357,11 +386,15 @@ def _registered_mechanisms() -> dict:
     return mechanisms()
 
 
+def _offered(testbed: TestbedSpec, registry: dict) -> tuple[str, ...]:
+    return (tuple(registry) if testbed.kind == "fleet"
+            else TESTBED_MECHANISMS[testbed.kind])
+
+
 def _check_mechanisms(ctx: str, spec_kind: str, testbed: TestbedSpec,
                       names: tuple[str, ...]) -> None:
     registry = _registered_mechanisms()
-    offered = (tuple(registry) if testbed.kind == "fleet"
-               else TESTBED_MECHANISMS[testbed.kind])
+    offered = _offered(testbed, registry)
     seen: set[str] = set()
     for i, name in enumerate(names):
         if name not in registry:

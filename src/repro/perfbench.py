@@ -1,18 +1,24 @@
-"""Wall-clock benches of the simulator's hot paths.
+"""Wall-clock benches of the simulator, behind one registry and schema.
 
 These measure the *simulator's* speed, not the modeled hardware: the
-columnar block-sampling engine against per-tick scalar collection, and
-the heap-scheduled launcher against the linear ``_pick_runnable``
-reference.  ``python -m repro bench perf`` runs them and writes
-``BENCH_moneq.json`` so future changes have a perf baseline to regress
-against; ``benchmarks/bench_moneq_block.py`` and
-``benchmarks/bench_runtime_perf.py`` assert the speedup floors.
+columnar block-sampling engine against per-tick scalar collection, the
+heap-scheduled launcher against the linear ``_pick_runnable``
+reference, the exec engine's result cache, the monitoring service and
+the fleet sweep.  ``python -m repro bench perf`` is the one driver:
+:func:`record` measures a profile and writes its trajectory file,
+:func:`check` re-measures it against the committed file.  Two profiles
+share the registry shape — :data:`ALL_BENCHES` (full sizes, committed
+in ``BENCH_perf.json``) and :data:`SMOKE_BENCHES` (CI sizes, committed
+in ``BENCH_smoke.json``).  ``benchmarks/`` asserts the speedup floors
+on the same functions.
 
 Every bench returns a dict whose first two keys follow the trajectory
 schema — ``{"wall_s": <optimized wall>, "speedup_vs_scalar": <x>}`` —
 where "scalar" is the pre-optimization path (``block_ticks=1`` scalar
-ticking, or ``scheduler="linear"``).  Extra keys carry bench-specific
-detail for the CLI report and the benchmark asserts.
+ticking, ``scheduler="linear"``, a cold cache).  Extra keys carry
+bench-specific detail and pass through to the trajectory file.  A
+bench whose optimized and reference outputs diverge raises
+:class:`AssertionError` instead of returning.
 """
 
 from __future__ import annotations
@@ -25,10 +31,15 @@ from repro.core import moneq
 from repro.core.moneq.backends import NvmlBackend
 from repro.core.moneq.config import MoneqConfig
 from repro.core.moneq.session import MoneqSession
-from repro.fleet.sweep import REALTIME_FLOOR
+from repro.fleet.sweep import (
+    CACHE_REDUCTION_FLOOR,
+    REALTIME_FLOOR,
+    fleet_bench,
+)
 from repro.runtime.launcher import Launcher
 from repro.runtime.ops import ANY_SOURCE, Compute, Recv, Send
 from repro.runtime.programs import run_mmps
+from repro.service.loadgen import bench_service
 from repro.workloads.vectoradd import VectorAddWorkload
 
 NVML_INTERVAL_S = 0.060
@@ -100,15 +111,17 @@ def bench_moneq_block(agents: int = 1024, ticks: int = 10_000,
             )
         scalar_est = wall_slice * (ticks / scalar_ticks)
 
-        byte_identical = (_nvml_outputs(8, 400, 1, seed)
-                          == _nvml_outputs(8, 400, 4096, seed))
+        if (_nvml_outputs(8, 400, 1, seed)
+                != _nvml_outputs(8, 400, 4096, seed)):
+            raise AssertionError(
+                "block-sampled output diverged from scalar")
     return {
         "wall_s": wall_block,
         "speedup_vs_scalar": scalar_est / wall_block,
         "scalar_wall_s": scalar_est,
         "agents": agents,
         "ticks": ticks,
-        "byte_identical": byte_identical,
+        "byte_identical": True,
     }
 
 
@@ -265,41 +278,70 @@ def bench_chaos_hotpath(rows: int = 200_000, reps: int = 5,
     }
 
 
-def bench_service_smoke(racks: int = 8, shards: int = 8,
-                        requests: int = 100, sweeps: int = 16) -> dict:
-    """The monitoring service at CI-smoke scale: mixed queries through
-    the in-process WSGI client against a populated sharded envdb.
+def bench_exec() -> dict:
+    """The experiment engine's result cache: the full report generated
+    cold and serial (the pre-engine baseline), cold through an 8-worker
+    pool, and warm from the content-addressed cache, all into a
+    throwaway cache directory.
 
-    ``speedup_vs_scalar`` is the aggregate cache's cold-build vs
-    warm-hit per-query ratio *measured through the whole HTTP stack*
-    (dispatch, auth, planning, JSON) — the service-level face of the
-    store-level cached-aggregate speedup.  The committed full-size
-    figures live in ``BENCH_service.json`` (``python -m repro service
-    bench``), not in the moneq trajectory file.
-    """
-    from repro.service.loadgen import bench_service
+    ``wall_s`` is the warm wall and ``speedup_vs_scalar`` is cold
+    serial / warm.  The rendered markdown must be byte-identical across
+    the three runs — the engine's core contract.  Parallel speedup is
+    bounded by the host, so ``cpus`` (``os.cpu_count()``) rides along
+    as a detail key."""
+    import os
+    import shutil
+    import tempfile
 
-    return bench_service(racks=racks, shards=shards, requests=requests,
-                         sweeps=sweeps)
+    from repro.exec.engine import Engine
+    from repro.experiments import report
+
+    jobs = 8
+    cache_root = tempfile.mkdtemp(prefix="repro-exec-bench-")
+    try:
+        def timed(run_jobs: int, cache: bool) -> tuple[float, str]:
+            return _wall(lambda: report.generate_markdown(
+                jobs=run_jobs, cache=cache, cache_root=cache_root))
+
+        wall_serial, md_serial = timed(1, cache=False)
+        wall_cold, md_cold = timed(jobs, cache=True)
+        wall_warm, md_warm = timed(jobs, cache=True)
+
+        engine = Engine(jobs=1, cache=True, cache_root=cache_root)
+        engine.run()
+        if engine.stats.cache_misses:
+            raise AssertionError(
+                f"warm engine still missed {engine.stats.cache_misses} "
+                f"task(s)")
+    finally:
+        shutil.rmtree(cache_root, ignore_errors=True)
+    if not md_serial == md_cold == md_warm:
+        raise AssertionError("engine produced different report bytes "
+                             "across cold and warm runs")
+    return {
+        "wall_s": wall_warm,
+        "speedup_vs_scalar": wall_serial / wall_warm,
+        "cold_serial_wall_s": wall_serial,
+        "cold_parallel_wall_s": wall_cold,
+        "jobs": jobs,
+        "tasks": engine.stats.cache_hits,
+        "cpus": os.cpu_count() or 1,
+        "byte_identical": True,
+    }
 
 
-def bench_fleet_smoke() -> dict:
-    """The fleet layer at CI-smoke scale: a 2-site sweep through the
-    federated store plus the channel-cache crossings ablation.
+def bench_fleet(smoke: bool = False) -> dict:
+    """The fleet layer: a federated sweep (10 Mira-sized sites, or 2
+    sites x 4 racks with ``smoke``) plus the channel-cache crossings
+    ablation, flattened into one trajectory entry.
 
     ``speedup_vs_scalar`` is the sweep's realtime factor (virtual
     seconds simulated per wall second) — the fleet-scale face of the
     block-sampling speedups above.  The ablation's invariants (the
     cache must cut channel crossings >=5x on the shared-device consumer
     pattern *and* stay byte-invisible in the MonEQ outputs) are
-    asserted here, not floored: they are correctness, not speed.  The
-    committed full-size figures live in ``BENCH_fleet.json``.
-    """
-    from repro.fleet import fleet_bench
-    from repro.fleet.sweep import CACHE_REDUCTION_FLOOR
-
-    results = fleet_bench(json_path=None, smoke=True)
-    sweep = results["fleet_sweep"]
+    asserted here, not floored: they are correctness, not speed."""
+    results = fleet_bench(smoke=smoke)
     ablation = results["cache_ablation"]
     if not ablation["byte_identical"]:
         raise AssertionError("channel cache changed MonEQ output bytes")
@@ -309,12 +351,9 @@ def bench_fleet_smoke() -> dict:
             f"{ablation['crossings_reduction']:.1f}x, wanted "
             f">={CACHE_REDUCTION_FLOOR:g}x")
     return {
-        "wall_s": sweep["wall_s"],
-        "speedup_vs_scalar": sweep["speedup_vs_scalar"],
-        "sites": sweep["sites"],
-        "records": sweep["records"],
-        "cache_reduction": ablation["crossings_reduction"],
-        "byte_identical": ablation["byte_identical"],
+        **results["fleet_sweep"],
+        "crossings_reduction": ablation["crossings_reduction"],
+        "byte_identical": True,
     }
 
 
@@ -355,19 +394,21 @@ def bench_pack_overhead(pack: str = "phi-micsmc", reps: int = 3) -> dict:
     }
 
 
-#: Bench name -> zero-argument callable, in report order.
+#: The full profile: bench name -> zero-argument callable, in report
+#: order.  Committed in ``BENCH_perf.json``.
 ALL_BENCHES: dict[str, Callable[[], dict]] = {
     "moneq_block": bench_moneq_block,
     "moneq_full_session": bench_moneq_full_session,
     "launcher_fanin_4096": bench_launcher_fanin,
     "launcher_mmps": bench_launcher_mmps,
     "chaos_hotpath": bench_chaos_hotpath,
+    "exec": bench_exec,
+    "service": bench_service,
+    "fleet": bench_fleet,
 }
 
-#: Reduced-size profile for CI smoke runs: same benches, small enough
-#: to finish in seconds on a shared runner.  Smoke results are never
-#: written to the trajectory file — the committed numbers measure the
-#: full profile.
+#: Reduced-size profile for CI smoke runs, small enough to finish in
+#: seconds on a shared runner.  Committed in ``BENCH_smoke.json``.
 SMOKE_BENCHES: dict[str, Callable[[], dict]] = {
     "moneq_block": lambda: bench_moneq_block(agents=64, ticks=1_000,
                                              scalar_ticks=50),
@@ -375,8 +416,9 @@ SMOKE_BENCHES: dict[str, Callable[[], dict]] = {
     "launcher_fanin_4096": lambda: bench_launcher_fanin(size=512),
     "launcher_mmps": lambda: bench_launcher_mmps(messages_per_rank=400),
     "chaos_hotpath": lambda: bench_chaos_hotpath(rows=50_000, reps=3),
-    "service": bench_service_smoke,
-    "fleet": bench_fleet_smoke,
+    "service": lambda: bench_service(racks=8, shards=8, requests=100,
+                                     sweeps=16),
+    "fleet": lambda: bench_fleet(smoke=True),
     "pack_overhead": bench_pack_overhead,
 }
 
@@ -409,170 +451,128 @@ SMOKE_FLOORS: dict[str, float] = {
     "pack_overhead": 0.80,
 }
 
-#: Relative slack allowed when re-measuring a committed speedup.  Wide
-#: because these are single-shot wall-clock measurements on shared
-#: machines; the check is for *regressions* (an optimization undone),
-#: not run-to-run jitter.
+#: Minimum relative slack a full-profile re-measurement gets against
+#: its committed speedup.  Wide because these are single-shot
+#: wall-clock measurements on shared machines; the check is for
+#: *regressions* (an optimization undone), not run-to-run jitter.
 CHECK_TOLERANCE = 0.30
 
-#: Where the committed smoke trajectory lives (see
-#: :func:`run_smoke_trajectory`).
-SMOKE_TRAJECTORY_PATH = "BENCH_smoke.json"
-
-#: Floor on the relative slack a smoke re-measurement gets against the
-#: committed smoke median.  Wide by design — a shared CI runner under
-#: load halves speedups without anything regressing; benches whose
-#: committed spread is larger get ``2 x spread`` instead (see
-#: :func:`_smoke_relative_failures`).
+#: Minimum relative slack a smoke re-measurement gets against the
+#: committed smoke median.  Wider still — a shared CI runner under
+#: load halves speedups without anything regressing.
 SMOKE_RELATIVE_TOLERANCE = 0.50
 
-
-def check(json_path: str = "BENCH_moneq.json",
-          tolerance: float = CHECK_TOLERANCE,
-          smoke: bool = False,
-          ) -> tuple[list[str], dict[str, dict]]:
-    """Re-run every bench and compare against the committed trajectory.
-
-    Returns ``(failures, fresh_results)`` where each failure names a
-    bench whose fresh ``speedup_vs_scalar`` fell more than ``tolerance``
-    below the committed value (or that disappeared from the suite).
-    The committed file is never rewritten by a check.
-
-    With ``smoke=True`` the reduced :data:`SMOKE_BENCHES` profile runs
-    instead, held to the absolute :data:`SMOKE_FLOORS` *and* — when a
-    committed :data:`SMOKE_TRAJECTORY_PATH` exists — to relative floors
-    against its per-bench medians (``json_path`` names the full-profile
-    trajectory and is ignored in smoke mode).  The absolute floors
-    catch an optimization being undone outright; the relative check
-    catches the slow bleed the wide absolute floors would wave through.
-    """
-    if smoke:
-        results = run(json_path=None, benches=SMOKE_BENCHES)
-        failures = [
-            f"{name}: smoke speedup "
-            f"{results[name]['speedup_vs_scalar']:.3f}x below the "
-            f"{floor:.1f}x floor"
-            for name, floor in SMOKE_FLOORS.items()
-            if results[name]["speedup_vs_scalar"] < floor
-        ]
-        failures.extend(_smoke_relative_failures(results))
-        return failures, results
-    with open(json_path, encoding="utf-8") as fh:
-        committed = json.load(fh)
-    results = run(json_path=None)
-    failures: list[str] = []
-    for name, entry in committed.items():
-        fresh = results.get(name)
-        if fresh is None:
-            failures.append(f"{name}: in {json_path} but no longer benched")
-            continue
-        floor = entry["speedup_vs_scalar"] * (1.0 - tolerance)
-        if fresh["speedup_vs_scalar"] < floor:
-            failures.append(
-                f"{name}: speedup {fresh['speedup_vs_scalar']:.3f}x fell "
-                f"below {floor:.3f}x (committed "
-                f"{entry['speedup_vs_scalar']:.3f}x - {tolerance:.0%})")
-    return failures, results
+#: Profile name -> the committed trajectory file :func:`record` writes
+#: and :func:`check` reads (relative to the working directory).
+TRAJECTORY_PATHS: dict[str, str] = {
+    "full": "BENCH_perf.json",
+    "smoke": "BENCH_smoke.json",
+}
 
 
-def _smoke_relative_failures(
-        results: dict[str, dict],
-        trajectory_path: str = SMOKE_TRAJECTORY_PATH) -> list[str]:
-    """Relative regressions against the committed smoke trajectory.
-
-    The committed file records each smoke bench's median speedup over
-    back-to-back repetitions plus its observed relative spread
-    ``(max - min) / median`` — the runner-variance characterization
-    :func:`run_smoke_trajectory` measured.  A fresh smoke speedup must
-    stay within ``max(SMOKE_RELATIVE_TOLERANCE, 2 x spread)`` of the
-    committed median (capped at 90% so the floor stays positive):
-    benches the runner measures stably get a tight bound, noisy ones a
-    loose one.  No committed file means no relative check.
-    """
-    try:
-        with open(trajectory_path, encoding="utf-8") as fh:
-            committed = json.load(fh)
-    except FileNotFoundError:
-        return []
-    failures: list[str] = []
-    for name, entry in committed["benches"].items():
-        fresh = results.get(name)
-        if fresh is None:
-            failures.append(
-                f"{name}: in {trajectory_path} but no longer smoke-benched")
-            continue
-        slack = min(0.90, max(SMOKE_RELATIVE_TOLERANCE,
-                              2.0 * entry.get("spread", 0.0)))
-        floor = entry["speedup_vs_scalar"] * (1.0 - slack)
-        if fresh["speedup_vs_scalar"] < floor:
-            failures.append(
-                f"{name}: smoke speedup "
-                f"{fresh['speedup_vs_scalar']:.3f}x fell below "
-                f"{floor:.3f}x (committed median "
-                f"{entry['speedup_vs_scalar']:.3f}x - {slack:.0%})")
-    return failures
+def _profile(profile: str) -> tuple[dict[str, Callable[[], dict]], int,
+                                    float, dict[str, float]]:
+    """``(benches, record_reps, min_slack, absolute_floors)`` of a
+    profile, read at call time so tests can swap the registries."""
+    if profile == "full":
+        return ALL_BENCHES, 1, CHECK_TOLERANCE, {}
+    if profile == "smoke":
+        return SMOKE_BENCHES, 3, SMOKE_RELATIVE_TOLERANCE, SMOKE_FLOORS
+    raise ValueError(f"unknown bench profile {profile!r}; "
+                     f"have {sorted(TRAJECTORY_PATHS)}")
 
 
-def run_smoke_trajectory(json_path: str | None = SMOKE_TRAJECTORY_PATH,
-                         reps: int = 3) -> tuple[dict, dict[str, dict]]:
-    """Measure the smoke profile ``reps`` times and write the smoke
-    trajectory file: per bench the median ``wall_s`` and
-    ``speedup_vs_scalar`` plus the relative spread ``(max - min) /
-    median`` across the repetitions.
+def record(profile: str = "full", path: str | None = None,
+           reps: int | None = None) -> tuple[dict, dict[str, dict]]:
+    """Measure ``profile`` ``reps`` times (full: once, smoke: three
+    times by default) and write its trajectory file.
 
-    The spread *is* the runner-variance characterization: committed
-    from the same class of machine CI runs on, it tells
-    ``check(smoke=True)`` how much slack each bench needs before a
-    low reading means regression rather than noise.  Returns
+    The file is ``{"reps": N, "benches": {name: {"wall_s",
+    "speedup_vs_scalar", "spread", ...detail keys}}}``: per bench the
+    median wall and speedup over the repetitions, the relative spread
+    ``(max - min) / median`` of the speedups, and the final
+    repetition's detail keys.  The spread *is* the runner-variance
+    characterization — it tells :func:`check` how much slack each
+    bench needs before a low reading means regression rather than
+    noise.  ``path`` defaults to the profile's committed file.  Returns
     ``(trajectory, last_results)`` — the latter the final repetition's
-    full bench dicts, for reporting.
+    bench dicts, for reporting.
     """
-    samples: dict[str, list[dict]] = {name: [] for name in SMOKE_BENCHES}
+    benches, default_reps, _, _ = _profile(profile)
+    reps = max(1, default_reps if reps is None else reps)
+    samples: dict[str, list[dict]] = {name: [] for name in benches}
     results: dict[str, dict] = {}
-    for _ in range(max(1, reps)):
-        results = run(json_path=None, benches=SMOKE_BENCHES)
+    for _ in range(reps):
+        results = {name: fn() for name, fn in benches.items()}
         for name, r in results.items():
             samples[name].append(r)
 
     def median(values: list[float]) -> float:
-        ordered = sorted(values)
-        return ordered[len(ordered) // 2]
+        return sorted(values)[len(values) // 2]
 
-    benches: dict[str, dict] = {}
+    entries: dict[str, dict] = {}
     for name, runs_ in samples.items():
         speeds = [r["speedup_vs_scalar"] for r in runs_]
         mid = median(speeds)
-        spread = (max(speeds) - min(speeds)) / mid if mid else 0.0
-        benches[name] = {
+        entries[name] = {
+            **{k: round(v, 6) if isinstance(v, float) else v
+               for k, v in runs_[-1].items()},
             "wall_s": round(median([r["wall_s"] for r in runs_]), 6),
             "speedup_vs_scalar": round(mid, 3),
-            "spread": round(spread, 3),
+            "spread": round((max(speeds) - min(speeds)) / mid
+                            if mid else 0.0, 3),
         }
-    trajectory = {"reps": max(1, reps), "benches": benches}
-    if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(trajectory, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    trajectory = {"reps": reps, "benches": entries}
+    with open(TRAJECTORY_PATHS[profile] if path is None else path, "w",
+              encoding="utf-8") as fh:
+        json.dump(trajectory, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return trajectory, results
 
 
-def run(json_path: str | None = "BENCH_moneq.json",
-        benches: dict[str, Callable[[], dict]] | None = None,
-        ) -> dict[str, dict]:
-    """Run every bench; write the trajectory file (bench name ->
-    ``{wall_s, speedup_vs_scalar}``) unless ``json_path`` is None."""
-    if benches is None:
-        benches = ALL_BENCHES
+def check(profile: str = "full", path: str | None = None,
+          ) -> tuple[list[str], dict[str, dict]]:
+    """Re-run ``profile`` once and compare against its committed file.
+
+    Returns ``(failures, fresh_results)``.  Each committed bench's
+    fresh ``speedup_vs_scalar`` must stay within ``min(0.90,
+    max(min_slack, 2 x spread))`` of the committed value, where
+    ``min_slack`` is :data:`CHECK_TOLERANCE` (full) or
+    :data:`SMOKE_RELATIVE_TOLERANCE` (smoke): benches measured stably
+    get a tight bound, noisy ones a loose one, and the cap keeps every
+    floor positive.  The smoke profile is held to the absolute
+    :data:`SMOKE_FLOORS` as well — those catch an optimization undone
+    outright; the relative floors catch the slow bleed the wide
+    absolute floors would wave through.  A committed bench that is no
+    longer benched fails, and so does a missing committed file (before
+    any bench runs).  The committed file is never rewritten.
+    """
+    benches, _, min_slack, floors = _profile(profile)
+    path = TRAJECTORY_PATHS[profile] if path is None else path
+    try:
+        with open(path, encoding="utf-8") as fh:
+            committed = json.load(fh)["benches"]
+    except FileNotFoundError:
+        return [f"committed {profile} trajectory {path} not found"], {}
     results = {name: fn() for name, fn in benches.items()}
-    if json_path is not None:
-        trajectory = {
-            name: {
-                "wall_s": round(r["wall_s"], 6),
-                "speedup_vs_scalar": round(r["speedup_vs_scalar"], 3),
-            }
-            for name, r in results.items()
-        }
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(trajectory, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return results
+    failures = [
+        f"{name}: {profile} speedup "
+        f"{results[name]['speedup_vs_scalar']:.3f}x below the "
+        f"{floor:.1f}x floor"
+        for name, floor in floors.items()
+        if results[name]["speedup_vs_scalar"] < floor
+    ]
+    for name, entry in committed.items():
+        fresh = results.get(name)
+        if fresh is None:
+            failures.append(f"{name}: in {path} but no longer benched")
+            continue
+        slack = min(0.90, max(min_slack, 2.0 * entry.get("spread", 0.0)))
+        floor = entry["speedup_vs_scalar"] * (1.0 - slack)
+        if fresh["speedup_vs_scalar"] < floor:
+            failures.append(
+                f"{name}: {profile} speedup "
+                f"{fresh['speedup_vs_scalar']:.3f}x fell below "
+                f"{floor:.3f}x (committed "
+                f"{entry['speedup_vs_scalar']:.3f}x - {slack:.0%})")
+    return failures, results

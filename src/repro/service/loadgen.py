@@ -1,4 +1,4 @@
-"""The service load generator and its committed benchmark.
+"""The service load generator behind the ``service`` benches.
 
 ``bench_service`` stands up the ROADMAP's target rig — a 64-rack BG/Q
 machine whose envdb shards across 64 stores — puts a
@@ -11,14 +11,13 @@ aggregate cache's cold-build vs warm-hit ratio measured through the
 whole HTTP stack — the store-level cached-aggregate speedup as a
 client actually sees it, with dispatch and JSON riding along.
 
-``python -m repro service bench`` writes ``BENCH_service.json``;
-the reduced profile backs the ``service`` entry in
-``repro bench perf --smoke``.
+``python -m repro bench perf`` records the full-size run in
+``BENCH_perf.json``; the reduced profile backs the ``service`` entry
+of ``repro bench perf --smoke``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
@@ -108,7 +107,7 @@ def _aggregate_cache_ratio(client: ServiceClient, store, t1: float,
 
 def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
                   sweeps: int = 16, seed: int = 11) -> dict:
-    """The committed service benchmark (reduced sizes for smoke)."""
+    """The load-generator benchmark (reduced sizes for smoke)."""
     started = time.perf_counter()
     machine, app, client = build_rig(racks=racks, shards=shards,
                                      sweeps=sweeps, seed=seed)
@@ -137,17 +136,3 @@ def bench_service(racks: int = 64, shards: int = 64, requests: int = 400,
         "cpus": os.cpu_count(),
     }
 
-
-def write_bench(json_path: str = "BENCH_service.json", **kwargs) -> dict:
-    """Run the full-size bench and commit its figures."""
-    result = bench_service(**kwargs)
-    trajectory = {
-        "service": {
-            key: (round(value, 6) if isinstance(value, float) else value)
-            for key, value in result.items()
-        }
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(trajectory, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return result

@@ -61,11 +61,11 @@ class TestArgvErrors:
     never a raw exception."""
 
     @pytest.mark.parametrize("argv", [
-        ["store", "bench", "4", "4", "30"],
-        ["store", "bench", "0", "4", "240"],
         ["report", "--jobs", "0"],
         ["exec", "run", "table2", "--jobs", "0"],
-        ["service", "bench", "{tmp}/bench.json", "--racks", "0"],
+        ["bench", "perf", "{tmp}/bench.json", "--smok"],
+        ["bench", "perf", "{tmp}/bench.json", "{tmp}/other.json"],
+        ["pack", "run", "phi-micsmc", "--jobs", "0"],
     ])
     def test_exits_two_with_one_line(self, argv, tmp_path, capsys):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -75,3 +75,15 @@ class TestArgvErrors:
         assert len(lines) == 1 and lines[0].startswith(f"{argv[0]}: ")
         assert "Traceback" not in captured.err
         assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["store", "bench", "4", "4", "30"], "unknown experiment 'store'"),
+        (["exec", "bench"], "usage: python -m repro exec run"),
+        (["service", "bench", "--racks", "2"],
+         "usage: python -m repro service smoke"),
+    ])
+    def test_retired_bench_verbs_exit_two(self, argv, needle, capsys):
+        """The bench drivers folded into ``bench perf`` are gone, not
+        aliased: each exits 2 with its command's usage."""
+        assert cli_main(argv) == 2
+        assert needle in capsys.readouterr().err

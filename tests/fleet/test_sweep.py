@@ -1,11 +1,9 @@
-"""Fleet sweeps, the cache ablation, and the ``BENCH_fleet.json`` shape."""
-
-import json
+"""Fleet sweeps and the channel-cache ablation."""
 
 import pytest
 
-from repro.fleet import build_fleet, cache_ablation, fleet_bench, fleet_sweep
-from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, FleetSweepReport
+from repro.fleet import build_fleet, cache_ablation, fleet_sweep
+from repro.fleet.sweep import FleetSweepReport
 from repro.mech.cache import channel_cache
 
 
@@ -67,18 +65,3 @@ def test_cache_ablation_cuts_crossings_and_stays_byte_identical():
     assert result["crossings_reduction"] == pytest.approx(4.0)
     assert result["crossings_uncached"] == \
         result["crossings_cached"] * result["crossings_reduction"]
-
-
-def test_fleet_bench_smoke_writes_committed_shape(tmp_path):
-    path = tmp_path / "BENCH_fleet.json"
-    results = fleet_bench(json_path=str(path), smoke=True)
-    on_disk = json.loads(path.read_text())
-    assert on_disk == json.loads(json.dumps(results))  # round-trips
-    sweep = on_disk["fleet_sweep"]
-    assert set(sweep) == {"wall_s", "speedup_vs_scalar", "sites", "racks",
-                          "sweeps", "records", "dropped", "reshards",
-                          "shards", "rollup_windows"}
-    ablation = on_disk["cache_ablation"]
-    assert ablation["byte_identical"] is True
-    assert ablation["crossings_reduction"] >= CACHE_REDUCTION_FLOOR
-    assert sweep["sites"] == 2  # smoke never runs the 10x-Mira profile

@@ -6,7 +6,7 @@ are shared exactly by consumers of the same device object, and the
 cache is byte-invisible — a hit returns precisely the bytes the device
 would have produced.  The mechanism-level integration (shared-device
 hits, chaos invalidation) is pinned here too; the fleet-wide ablation
-numbers live in ``BENCH_fleet.json``.
+numbers live in the ``fleet`` entry of ``BENCH_perf.json``.
 """
 
 import numpy as np

@@ -126,3 +126,21 @@ def test_pack_run_bad_override_exits_two_before_any_session(
                      flag, value]) == 2
     err = capsys.readouterr().err
     assert f"override: {flag} must be" in err
+
+
+def test_pack_run_duration_over_the_buffer_exits_two_before_any_session(
+        monkeypatch, capsys):
+    """A finite duration whose tick count overflows MonEQ's record
+    buffer is rejected up front, naming the flag and the tick count,
+    instead of running until the buffer fills."""
+    import repro.packs.runtime as runtime
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session ran despite an oversized duration")
+
+    monkeypatch.setattr(runtime, "execute_scenario", no_session)
+    assert cli_main(["pack", "run", "phi-micsmc", "--no-cache",
+                     "--duration", "1e7"]) == 2
+    err = capsys.readouterr().err
+    assert "override: --duration 1e+07 s is 100000000 ticks" in err
+    assert "262144-record MonEQ buffer" in err

@@ -29,6 +29,21 @@ def test_compile_is_idempotent_and_override_aware():
     assert reseeded.exp_id != first.exp_id  # a different run, a new id
 
 
+def test_manifest_duration_over_the_buffer_does_not_compile():
+    """``duration_s`` over the interval the session will poll at (here
+    the micsmc floor, 0.1 s) may not exceed MonEQ's record buffer."""
+    from repro.core.moneq.config import MoneqConfig
+
+    raw = {**raw_pack("phi-micsmc"), "duration_s": 1e7}
+    with pytest.raises(PackError, match=r"'phi-micsmc': duration_s 1e\+07 "
+                       r"s is 100000000 ticks at the 0\.1 s"):
+        compile_spec(raw)
+    fits = MoneqConfig.buffer_slots * 0.1
+    compile_spec({**raw_pack("phi-micsmc"), "duration_s": fits})
+    with pytest.raises(PackError, match="--duration"):
+        compile_spec(raw_pack("phi-micsmc"), duration_s=fits + 1.0)
+
+
 def test_experiments_packs_do_not_compile():
     with pytest.raises(PackError, match="paper-core"):
         compile_spec(raw_pack("paper-core"))
@@ -84,8 +99,8 @@ def test_pack_run_matches_the_live_chaos_path():
 def test_fleet_packs_never_cache(tmp_path, monkeypatch):
     calls = []
 
-    def canned_bench(json_path=None, smoke=False):
-        calls.append((json_path, smoke))
+    def canned_bench(smoke=False):
+        calls.append(smoke)
         return {"fleet_sweep": {"wall_s": 0.5, "speedup_vs_scalar": 10.0},
                 "cache_ablation": {"hit_rate": 0.9,
                                    "crossings_reduction": 8.0,
@@ -98,11 +113,11 @@ def test_fleet_packs_never_cache(tmp_path, monkeypatch):
         result = run_pack("fleet-sweep", jobs=1, cache=True,
                           cache_root=str(tmp_path))
         assert result.stats.cache_hits == 0  # wall-clock: forced cold
-    assert calls == [(None, True), (None, True)]
+    assert calls == [True, True]
 
 
 def test_run_pack_accepts_a_raw_manifest_mapping(tmp_path, monkeypatch):
-    def canned_bench(json_path=None, smoke=False):
+    def canned_bench(smoke=False):
         return {"fleet_sweep": {"smoke": smoke},
                 "cache_ablation": {}}
 

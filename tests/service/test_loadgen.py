@@ -1,8 +1,6 @@
 """The load generator at reduced scale (the smoke-bench profile)."""
 
-import json
-
-from repro.service import bench_service, write_bench
+from repro.service import bench_service
 
 
 class TestBenchService:
@@ -17,13 +15,3 @@ class TestBenchService:
         assert result["store_records"] > 0
         assert result["racks"] == 2 and result["shards"] == 2
         assert result["wall_s"] >= result["query_wall_s"] > 0
-
-    def test_write_bench(self, tmp_path):
-        path = tmp_path / "BENCH_service.json"
-        result = write_bench(str(path), racks=2, shards=2, requests=10,
-                             sweeps=1, seed=7)
-        committed = json.loads(path.read_text())
-        assert set(committed) == {"service"}
-        assert committed["service"]["requests"] == 10
-        assert committed["service"]["sustained_qps"] == round(
-            result["sustained_qps"], 6)
