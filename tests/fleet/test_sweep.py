@@ -1,9 +1,12 @@
-"""Fleet sweeps and the channel-cache ablation."""
+"""Fleet sweeps, the cache ablation, and the fleet bench entry's shape."""
+
+import json
 
 import pytest
 
+from repro import perfbench
 from repro.fleet import build_fleet, cache_ablation, fleet_sweep
-from repro.fleet.sweep import FleetSweepReport
+from repro.fleet.sweep import CACHE_REDUCTION_FLOOR, FleetSweepReport
 from repro.mech.cache import channel_cache
 
 
@@ -65,3 +68,21 @@ def test_cache_ablation_cuts_crossings_and_stays_byte_identical():
     assert result["crossings_reduction"] == pytest.approx(4.0)
     assert result["crossings_uncached"] == \
         result["crossings_cached"] * result["crossings_reduction"]
+
+
+def test_fleet_bench_smoke_writes_committed_shape(tmp_path, monkeypatch):
+    monkeypatch.setattr(perfbench, "ALL_BENCHES", {
+        "fleet": lambda: perfbench.bench_fleet(smoke=True)})
+    path = tmp_path / "BENCH_perf.json"
+    trajectory, results = perfbench.record("full", str(path), reps=1)
+    on_disk = json.loads(path.read_text())
+    assert on_disk == json.loads(json.dumps(trajectory))  # round-trips
+    fleet = on_disk["benches"]["fleet"]
+    assert set(fleet) == {
+        "wall_s", "speedup_vs_scalar", "spread", "sites", "racks",
+        "sweeps", "records", "dropped", "reshards", "shards",
+        "rollup_windows", "crossings_reduction", "byte_identical"}
+    assert fleet["byte_identical"] is True
+    assert fleet["crossings_reduction"] >= CACHE_REDUCTION_FLOOR
+    assert fleet["sites"] == 2  # smoke never runs the 10x-Mira profile
+    assert results["fleet"]["records"] == fleet["records"]
